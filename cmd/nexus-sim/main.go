@@ -52,14 +52,14 @@ func main() {
 	deltaRouting := flag.Bool("delta-routing", false, "push routing-table updates to frontends as per-session deltas")
 	leaseTTL := flag.Duration("lease-ttl", 0, "routing-table lease TTL on each frontend (0 = no leases)")
 	serveStale := flag.Bool("serve-stale", false, "keep routing on an expired lease instead of dropping (needs -lease-ttl)")
-	retryBudget := flag.Int("retry-budget", 0, "exponential-backoff dispatch retries per request (0 = retry-once semantics off)")
+	retryBudget := flag.Int("retry-budget", 0, "exponential-backoff dispatch retries per request (0 = off)")
 	breakerN := flag.Int("breaker", 0, "consecutive dispatch failures that open a backend's circuit breaker (0 = off)")
 	breakerCool := flag.Duration("breaker-cooloff", time.Second, "open-breaker cooloff before a half-open probe (needs -breaker)")
 	recoveryCap := flag.Int("recovery-cap", 0, "max per-session route changes per post-outage push (needs -delta-routing; 0 = uncapped)")
 	forensicsOn := flag.Bool("forensics", false, "arm the flight recorder (implies tracing, -audit, and -telemetry)")
 	forensicsOut := flag.String("forensics-out", "", "write alert-triggered dump bundles as JSONL to this file (implies -forensics; read with nexus-forensics)")
 	forensicsWindow := flag.Duration("forensics-window", 0, "capture horizon before each anomaly (0 = 5s; needs -forensics)")
-	selfObs := flag.Bool("telemetry-self", false, "export runtime self-observability gauges (goroutines, heap, GC, ring/arena occupancy; nondeterministic, needs -telemetry)")
+	selfObs := flag.Bool("telemetry-self", false, "export runtime self-observability gauges (goroutines, heap, GC, send-arena reuse; nondeterministic, needs -telemetry)")
 	flag.Parse()
 
 	// -trace-out without -trace records into a generously sized ring.

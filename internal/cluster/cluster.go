@@ -104,7 +104,8 @@ type Config struct {
 	// declared dead (default 3).
 	LeaseMisses int
 	// RetryFailures enables the frontend's deadline-checked retry-once path
-	// for dispatches that hit a dead backend or a reconfiguration race.
+	// for dispatches that hit a dead backend or a reconfiguration race: a
+	// backoff retry budget of 1 with no wait. RetryBudget overrides it.
 	RetryFailures bool
 	// MaxQueue bounds each backend unit's queue; 0 = unbounded.
 	MaxQueue int
@@ -153,7 +154,7 @@ type Config struct {
 	// unroutable — the lease-expiry-without-repair posture.
 	RouteLeaseTTL time.Duration
 	ServeStale    bool
-	// RetryBudget replaces the retry-once path with an exponential-backoff
+	// RetryBudget > 0 overrides RetryFailures with an exponential-backoff
 	// budget: up to RetryBudget re-sends per request, waiting
 	// RetryBackoff<<(attempt-1) before each (default backoff 1ms).
 	RetryBudget  int
@@ -434,7 +435,7 @@ func New(cfg Config) (*Deployment, error) {
 		})
 		fe.SetTracer(d.tracer)
 		if cfg.RetryFailures {
-			fe.EnableRetry()
+			fe.EnableBackoffRetry(1, 0)
 		}
 		if cfg.RouteLeaseTTL > 0 {
 			fe.EnableRouteLease(cfg.RouteLeaseTTL, cfg.ServeStale)

@@ -244,15 +244,12 @@ func (ts *telemetrySampler) sample() {
 	}
 
 	// Runtime self-observability, only on request: goroutines, heap, GC
-	// pause, plus the simulator's own mechanisms — ingress ring occupancy
-	// and send-arena reuse. Like WallTimings these are nondeterministic, so
+	// pause, plus the frontends' send-arena reuse. Like WallTimings these are nondeterministic, so
 	// they never appear in golden-compared streams.
 	if d.telem.SelfObserve() {
 		telemetry.SampleRuntime(reg)
 		for i, fe := range d.Frontends {
 			l := strconv.Itoa(i)
-			reg.Gauge("frontend_ingress_depth", "frontend", l).Set(float64(fe.IngressDepth()))
-			reg.Gauge("frontend_ingress_cap", "frontend", l).Set(float64(fe.IngressCap()))
 			hits, grows := fe.ArenaStats()
 			reg.Counter("frontend_arena_hits_total", "frontend", l).Set(float64(hits))
 			reg.Counter("frontend_arena_grows_total", "frontend", l).Set(float64(grows))

@@ -2,7 +2,6 @@ package frontend
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -274,12 +273,11 @@ func TestAdmissionRefillsByVirtualTime(t *testing.T) {
 	}
 }
 
-// TestConcurrentApplyDeltaDuringBackoffRetry drives the clock (delivering
-// backoff retries) on one goroutine while the control plane churns deltas
-// on another: retries read immutable snapshots while ApplyDelta swaps them
-// in. Meaningful under -race. The delta stream keeps a route to the only
-// live backend at all times, so every retried request must survive.
-func TestConcurrentApplyDeltaDuringBackoffRetry(t *testing.T) {
+// TestApplyDeltaDuringBackoffRetry churns deltas as clock events that land
+// between backoff retries, so retries pick alternates from tables swapped
+// in while they waited. The delta stream keeps a route to the only live
+// backend at all times, so every retried request must survive.
+func TestApplyDeltaDuringBackoffRetry(t *testing.T) {
 	clock, backends, fe, drops := dropSetup(t, 3)
 	fe.EnableBackoffRetry(4, time.Millisecond)
 	rt := RoutingTable{"s": {
@@ -297,13 +295,12 @@ func TestConcurrentApplyDeltaDuringBackoffRetry(t *testing.T) {
 	for i := 0; i < n; i++ {
 		fe.Dispatch(workload.Request{ID: uint64(i), Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		gen := uint64(1)
-		for i := 0; i < 500; i++ {
-			w := float64(1 + i%3)
+	// 500 deltas, one every 30µs: they span the 1+2+4+8 ms backoff
+	// schedule of the budget, so tables swap between retries.
+	gen := uint64(1)
+	for i := 0; i < 500; i++ {
+		w := float64(1 + i%3)
+		clock.After(time.Duration(i)*30*time.Microsecond, func() {
 			d := TableDelta{
 				FromGen: gen, Gen: gen + 1,
 				Set: map[string][]Route{"s": {
@@ -316,11 +313,12 @@ func TestConcurrentApplyDeltaDuringBackoffRetry(t *testing.T) {
 				return
 			}
 			gen++
-		}
-	}()
-	clock.Run() // backoff retries fire while deltas swap tables
-	wg.Wait()
-	clock.Run() // drain retries scheduled near the end
+		})
+	}
+	clock.Run()
+	if fe.Generation() != 501 {
+		t.Fatalf("generation = %d, want 501 after every delta applied", fe.Generation())
+	}
 	if got := drops[backend.DropFailure] + drops[backend.DropReconfig]; got != 0 {
 		t.Fatalf("drops = %d, want every request retried onto the live backend", got)
 	}
@@ -333,8 +331,8 @@ func TestConcurrentApplyDeltaDuringBackoffRetry(t *testing.T) {
 // breaker knowledge and control-plane resyncs: a local RemoveBackend
 // repair bumps the generation, the next delta is rejected ErrStaleDelta,
 // and the full SetTableGen resync — which may reinstall routes to the
-// still-dead backend — must not reset the open breaker. Run under -race:
-// the resync happens on another goroutine while the clock delivers.
+// still-dead backend — must not reset the open breaker. The resync lands
+// while the dispatches before it are still in flight.
 func TestBreakerOpenSurvivesStaleDeltaResync(t *testing.T) {
 	clock, backends, fe, drops := dropSetup(t, 2)
 	fe.EnableBreakers(1, time.Hour)
@@ -361,27 +359,20 @@ func TestBreakerOpenSurvivesStaleDeltaResync(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		fe.Dispatch(workload.Request{ID: uint64(i + 1), Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		// The control plane, unaware of the repair, pushes a delta built
-		// on the pre-repair generation: it must be rejected stale.
-		d := TableDelta{
-			FromGen: staleGen, Gen: staleGen + 1,
-			Set: map[string][]Route{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}},
-		}
-		if err := fe.ApplyDelta(d); !errors.Is(err, ErrStaleDelta) {
-			t.Errorf("ApplyDelta after local repair = %v, want ErrStaleDelta", err)
-			return
-		}
-		// Full resync reinstalls routes to the still-dead a.
-		if err := fe.SetTableGen(rt, 10); err != nil {
-			t.Error(err)
-		}
-	}()
+	// The control plane, unaware of the repair, pushes a delta built on
+	// the pre-repair generation: it must be rejected stale.
+	d := TableDelta{
+		FromGen: staleGen, Gen: staleGen + 1,
+		Set: map[string][]Route{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}},
+	}
+	if err := fe.ApplyDelta(d); !errors.Is(err, ErrStaleDelta) {
+		t.Fatalf("ApplyDelta after local repair = %v, want ErrStaleDelta", err)
+	}
+	// Full resync reinstalls routes to the still-dead a.
+	if err := fe.SetTableGen(rt, 10); err != nil {
+		t.Fatal(err)
+	}
 	clock.Run()
-	wg.Wait()
 	if fe.Generation() != 10 {
 		t.Fatalf("generation = %d, want 10 after resync", fe.Generation())
 	}

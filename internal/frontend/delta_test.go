@@ -3,7 +3,6 @@ package frontend
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -92,7 +91,7 @@ func TestApplyDeltaPreservesUntouchedWRR(t *testing.T) {
 	if err := fe.SetTableGen(rt, 1); err != nil {
 		t.Fatal(err)
 	}
-	before := fe.state.Load().sessions["s1"]
+	before := fe.state.sessions["s1"]
 	counts := map[string]int{}
 	for i := 0; i < 2; i++ { // mid-cycle: accumulator holds credit
 		counts[before.pick().BackendID]++
@@ -104,7 +103,7 @@ func TestApplyDeltaPreservesUntouchedWRR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := fe.state.Load().sessions["s1"]
+	after := fe.state.sessions["s1"]
 	if after != before {
 		t.Fatal("untouched session's dispatch state was rebuilt by the delta")
 	}
@@ -195,13 +194,10 @@ func TestApplyDeltaRejectsBadRoutes(t *testing.T) {
 	}
 }
 
-// TestConcurrentDispatchDuringDelta drives the dispatcher and the control
-// plane from different goroutines: Dispatch reads immutable snapshots while
-// ApplyDelta swaps them in, which the race detector verifies (this test is
-// meaningful under -race). The simulated clock itself is single-threaded, so
-// all Dispatch calls stay on the dispatcher goroutine and the clock only
-// runs after both sides join.
-func TestConcurrentDispatchDuringDelta(t *testing.T) {
+// TestDispatchDuringDelta interleaves dispatches with delta pushes that
+// flip one session's routes and churn another in and out, with requests
+// still in flight across every swap.
+func TestDispatchDuringDelta(t *testing.T) {
 	clock, _, fe, _ := setup(t, 2)
 	rt := RoutingTable{
 		"s0": {{BackendID: "a", UnitID: "u", Weight: 1}},
@@ -210,22 +206,15 @@ func TestConcurrentDispatchDuringDelta(t *testing.T) {
 	if err := fe.SetTableGen(rt, 1); err != nil {
 		t.Fatal(err)
 	}
-	const dispatches = 20000
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < dispatches; i++ {
-			fe.Dispatch(workload.Request{
-				ID: uint64(i), Session: fmt.Sprintf("s%d", i%2),
-				Arrival: clock.Now(), Deadline: clock.Now() + time.Hour,
-			})
-		}
-	}()
+	const (
+		deltas     = 500
+		dispatches = 20000
+	)
 	// Control plane: flip s1's routes back and forth and churn a third
-	// session in and out while dispatches are in flight.
+	// session in and out, with a burst of dispatches after every delta.
 	gen := uint64(1)
-	for i := 0; i < 500; i++ {
+	id := uint64(0)
+	for i := 0; i < deltas; i++ {
 		be := "a"
 		if i%2 == 0 {
 			be = "b"
@@ -242,12 +231,17 @@ func TestConcurrentDispatchDuringDelta(t *testing.T) {
 			d.Remove = []string{"s2"}
 		}
 		if err := fe.ApplyDelta(d); err != nil {
-			t.Error(err)
-			break
+			t.Fatal(err)
 		}
 		gen++
+		for j := 0; j < dispatches/deltas; j++ {
+			fe.Dispatch(workload.Request{
+				ID: id, Session: fmt.Sprintf("s%d", id%2),
+				Arrival: clock.Now(), Deadline: clock.Now() + time.Hour,
+			})
+			id++
+		}
 	}
-	wg.Wait()
 	clock.Run()
 	// Every dispatch was routed or counted: the two live sessions' window
 	// counts must sum to all dispatched requests (none dropped: both target
@@ -262,6 +256,6 @@ func TestConcurrentDispatchDuringDelta(t *testing.T) {
 		t.Fatalf("dispatches = %d, want %d", fe.Dispatches(), dispatches)
 	}
 	if total <= 0 {
-		t.Fatal("no observed traffic after concurrent deltas")
+		t.Fatal("no observed traffic after interleaved deltas")
 	}
 }

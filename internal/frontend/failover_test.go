@@ -31,7 +31,7 @@ func TestWRRResetOnTableUpdate(t *testing.T) {
 	}
 	// Park the accumulator mid-cycle so backend b holds stale credit.
 	for i := 0; i < 3; i++ {
-		fe.state.Load().sessions["s"].pick()
+		fe.state.sessions["s"].pick()
 	}
 	if err := fe.SetTable(RoutingTable{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
@@ -41,7 +41,7 @@ func TestWRRResetOnTableUpdate(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for i := 0; i < 100; i++ {
-		counts[fe.state.Load().sessions["s"].pick().BackendID]++
+		counts[fe.state.sessions["s"].pick().BackendID]++
 	}
 	if counts["a"] != 50 || counts["b"] != 50 {
 		t.Fatalf("picks after table swap = %v, want an exact 50/50 split", counts)
@@ -63,7 +63,7 @@ func TestRemoveBackendRepairsRoutes(t *testing.T) {
 	if got := fe.Sessions(); len(got) != 2 || got[0] != "both" || got[1] != "only-c" {
 		t.Fatalf("sessions after repair = %v", got)
 	}
-	routes := fe.state.Load().table["both"]
+	routes := fe.state.table["both"]
 	if len(routes) != 1 || routes[0].BackendID != "b" {
 		t.Fatalf("surviving routes = %v", routes)
 	}
@@ -91,17 +91,17 @@ func TestRemoveBackendCopyOnWrite(t *testing.T) {
 	if len(shared["s"]) != 2 {
 		t.Fatal("repair mutated the shared table in place")
 	}
-	if len(fe2.state.Load().table["s"]) != 2 {
+	if len(fe2.state.table["s"]) != 2 {
 		t.Fatal("repair leaked into the replica's table")
 	}
-	if len(fe1.state.Load().table["s"]) != 1 {
+	if len(fe1.state.table["s"]) != 1 {
 		t.Fatal("repair missing from the repaired frontend")
 	}
 }
 
 func TestRetryReroutesAroundDeadBackend(t *testing.T) {
 	clock, backends, fe, dropped := setup(t, 2)
-	fe.EnableRetry()
+	fe.EnableBackoffRetry(1, 0)
 	if err := fe.SetTable(RoutingTable{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},
@@ -126,7 +126,7 @@ func TestRetryReroutesAroundDeadBackend(t *testing.T) {
 
 func TestRetryRespectsDeadline(t *testing.T) {
 	clock, backends, fe, dropped := setup(t, 2)
-	fe.EnableRetry()
+	fe.EnableBackoffRetry(1, 0)
 	if err := fe.SetTable(RoutingTable{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
 		{BackendID: "b", UnitID: "u", Weight: 1},

@@ -9,14 +9,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"nexus/internal/backend"
-	"nexus/internal/ring"
 	"nexus/internal/simclock"
 	"nexus/internal/trace"
 	"nexus/internal/workload"
@@ -89,40 +85,20 @@ type resolvedRoute struct {
 
 // sessionState is the per-session dispatch state: resolved routes, the
 // smooth-WRR accumulator, and the rate counter. Collapsing these into one
-// struct makes Dispatch a single map lookup per request, and holding the
-// mutable parts per session shards dispatch state: concurrent Dispatch
-// calls for different sessions touch disjoint cache lines and never
-// contend. The count is atomic so a table mutation can carry it over while
-// a dispatch is in flight; routes are written only when the state is
-// created; the wrr accumulator is guarded by spin, a per-session CAS flag
-// held for the handful of float ops one pick needs (uncontended it costs
-// two uncontended atomic ops — there is no mutex anywhere on this path).
+// struct makes Dispatch a single map lookup per request. Routes are written
+// only when the state is created; a table mutation carries the count over.
 type sessionState struct {
 	routes []resolvedRoute
 	wrr    []float64
-	spin   atomic.Uint32
-	count  atomic.Uint64
+	count  uint64
 }
 
-// lock acquires the session's WRR guard. Contention only occurs between
-// concurrent dispatchers of the same session, and the critical section is
-// a short float scan, so spinning beats parking; Gosched keeps a stalled
-// owner from starving its waiters.
-func (st *sessionState) lock() {
-	for i := 0; !st.spin.CompareAndSwap(0, 1); i++ {
-		if i%64 == 63 {
-			runtime.Gosched()
-		}
-	}
-}
-
-func (st *sessionState) unlock() { st.spin.Store(0) }
-
-// tableState is the immutable routing snapshot the dispatch path reads:
-// the table, its resolved per-session dispatch state, and the control-plane
+// tableState is the routing snapshot the dispatch path reads: the table,
+// its resolved per-session dispatch state, and the control-plane
 // generation it corresponds to. Mutations (SetTable, ApplyDelta,
-// RemoveBackend) build a fresh snapshot and swap the pointer, so Dispatch
-// never observes a half-applied update.
+// RemoveBackend) build a fresh snapshot instead of editing in place,
+// because the RoutingTable passed to SetTableGen may be shared with other
+// frontend replicas.
 type tableState struct {
 	table    RoutingTable
 	sessions map[string]*sessionState
@@ -136,34 +112,16 @@ type Frontend struct {
 	netDelay time.Duration
 	// extraDelay models an injected network-delay spike on every hop.
 	extraDelay time.Duration
-	// retry enables the deadline-checked retry-once path on dead targets.
-	retry bool
 
-	// state is the current routing snapshot; the dispatch hot path loads it
-	// once per request and never takes a lock. Table mutations are
-	// serialized by mu — a control-plane-rate lock only — and swap in a
-	// fresh snapshot, so any number of concurrent Dispatch calls interleave
-	// safely with pushes, deltas, and failure repairs.
-	state atomic.Pointer[tableState]
-	mu    sync.Mutex
+	// state is the current routing snapshot.
+	state *tableState
 	// tableVersion counts routing-table changes (control-plane pushes and
 	// failure repairs), for telemetry.
-	tableVersion atomic.Uint64
+	tableVersion uint64
 	// dispatches and retries count routed requests and retry re-sends over
-	// the frontend's lifetime, for telemetry. Atomic: Dispatch may run on
-	// many goroutines at once.
-	dispatches atomic.Uint64
-	retries    atomic.Uint64
-
-	// ingress is the lock-free MPSC ring carrying picked (request, route)
-	// pairs from Dispatch callers to the frontend→backend network hop, and
-	// pumping is the CAS flag electing exactly one of them to drain it
-	// (the hop schedules simulation-clock events, and the clock is
-	// single-threaded). With one dispatcher the ring is strict FIFO and the
-	// pump runs inline, so simulation behaviour is byte-identical to
-	// calling send directly.
-	ingress *ring.MPSC[pendingDispatch]
-	pumping atomic.Uint32
+	// the frontend's lifetime, for telemetry.
+	dispatches uint64
+	retries    uint64
 
 	// onDrop observes requests the frontend loses, with the reason.
 	onDrop DropFunc
@@ -172,66 +130,51 @@ type Frontend struct {
 	// entered the target unit's queue after the network hop) span events.
 	tracer *trace.Tracer
 
-	// Rate observation for the control plane (guarded by mu). Live sessions
-	// count in their sessionState; residual holds counts of sessions whose
+	// Rate observation for the control plane. Live sessions count in their
+	// sessionState; residual holds counts of sessions whose
 	// routes were removed mid-window, so their traffic still shows in
 	// ObservedRates.
 	residual   map[string]uint64
 	windowFrom time.Duration
 
 	// sendPool recycles in-flight send state (and its bound delivery
-	// callback) so the per-request network hop allocates nothing. It is
-	// touched only by the elected pump owner and by delivery events on the
-	// clock goroutine, so it needs no lock; New seeds it from a contiguous
-	// arena so a fresh frontend reaches steady state without growing it.
+	// callback) so the per-request network hop allocates nothing. New seeds
+	// it from a contiguous arena so a fresh frontend reaches steady state
+	// without growing it.
 	sendPool []*pendingSend
 	// arenaHits/arenaGrows count sendPool reuses vs. fresh allocations, for
 	// self-observability: a healthy steady state is all hits, and a growing
-	// grow count means in-flight sends outrun the arena. Atomic only to be
-	// race-detector-clean against a telemetry scrape; both are updated on
-	// the pump/clock side.
-	arenaHits  atomic.Uint64
-	arenaGrows atomic.Uint64
+	// grow count means in-flight sends outrun the arena.
+	arenaHits  uint64
+	arenaGrows uint64
 
 	// Degraded-mode survival state (see degraded.go). All nil/zero when the
 	// layer is off, so the hot path pays one nil check per feature.
-	// retryBudget/retryBase replace the retry-once path when budget > 0.
+	// retryBudget > 0 re-sends failed dispatches after base<<(attempt-1).
 	retryBudget int
 	retryBase   time.Duration
-	// leaseTTL > 0 arms routing-table leases: lastPush (unix nanos of the
-	// newest control-plane push, atomic because Dispatch reads it without
-	// mu) ages against it, and expired tables either serve stale (counted)
-	// or stop routing.
+	// leaseTTL > 0 arms routing-table leases: lastPush (virtual time of the
+	// newest control-plane push) ages against it, and expired tables either
+	// serve stale (counted) or stop routing.
 	leaseTTL    time.Duration
 	serveStale  bool
-	lastPush    atomic.Int64
-	staleServed atomic.Uint64
-	// breakers holds per-backend circuit state. The map is built once at
-	// EnableBreakers (one breaker per known backend) and read-only after,
-	// so concurrent dispatchers index it freely; each breaker's fields are
-	// atomic because pick-side probes race with delivery-side outcomes.
+	lastPush    time.Duration
+	staleServed uint64
+	// breakers holds per-backend circuit state, one breaker per known
+	// backend, built at EnableBreakers.
 	breakers           map[string]*breaker
-	breakerThreshold   int32
+	breakerThreshold   int
 	breakerCooloff     time.Duration
-	breakerTransitions atomic.Uint64
+	breakerTransitions uint64
 	onBreaker          BreakerObserver
 	// linkDown marks backends behind a severed frontend<->backend link
 	// (data partition): alive from the scheduler's view, unreachable here.
 	linkDown map[string]bool
 	// admission holds per-session token buckets; reserve is the shared
-	// priority pool. The map is read-only after setup; each bucket carries
-	// its own CAS guard. admissionSheds counts DropAdmission outcomes.
+	// priority pool. admissionSheds counts DropAdmission outcomes.
 	admission      map[string]*tokenBucket
 	reserve        *tokenBucket
-	admissionSheds atomic.Uint64
-}
-
-// pendingDispatch is one picked (request, route) pair queued on the
-// ingress ring between a Dispatch caller and the network hop.
-type pendingDispatch struct {
-	req     workload.Request
-	r       resolvedRoute
-	attempt int
+	admissionSheds uint64
 }
 
 // pendingSend is one request in flight across the frontend->backend network
@@ -287,25 +230,20 @@ func (p *pendingSend) deliver() {
 		if f.breakers != nil {
 			f.breakerFailure(r.BackendID)
 		}
-		if f.retryBudget > 0 {
-			// Exponential-backoff retry budget: re-send to a surviving
-			// replica after base<<(attempt-1), as long as the budget and
-			// the request's deadline both have room.
-			if attempt <= f.retryBudget {
-				backoff := f.retryBase << (attempt - 1)
-				if alt, ok := f.altRoute(req.Session, r.BackendID); ok &&
-					req.Deadline-f.clock.Now() > backoff+f.netDelay+f.extraDelay {
-					f.retries.Add(1)
-					next := attempt + 1
-					f.clock.After(backoff, func() { f.send(req, alt, next) })
-					return
-				}
-			}
-		} else if f.retry && attempt == 1 {
+		// Exponential-backoff retry budget: re-send to a surviving replica
+		// after base<<(attempt-1), as long as the budget and the request's
+		// deadline both have room. A zero backoff re-sends inline.
+		if attempt <= f.retryBudget {
+			backoff := f.retryBase << (attempt - 1)
 			if alt, ok := f.altRoute(req.Session, r.BackendID); ok &&
-				req.Deadline-f.clock.Now() > f.netDelay+f.extraDelay {
-				f.retries.Add(1)
-				f.send(req, alt, 2)
+				req.Deadline-f.clock.Now() > backoff+f.netDelay+f.extraDelay {
+				f.retries++
+				next := attempt + 1
+				if backoff == 0 {
+					f.send(req, alt, next)
+				} else {
+					f.clock.After(backoff, func() { f.send(req, alt, next) })
+				}
 				return
 			}
 		}
@@ -315,10 +253,6 @@ func (p *pendingSend) deliver() {
 
 // DefaultNetDelay is the one-way frontend<->backend dispatch latency.
 const DefaultNetDelay = 500 * time.Microsecond
-
-// ingressCap bounds the in-flight picked-but-not-yet-sent requests on the
-// ingress ring; a full ring makes the pushing dispatcher drain it itself.
-const ingressCap = 1024
 
 // sendArenaSize is how many pendingSend objects New pre-allocates as one
 // contiguous block. It caps the common in-flight count of a single
@@ -338,9 +272,8 @@ func New(clock *simclock.Clock, backends map[string]*backend.Backend, netDelay t
 		netDelay: netDelay,
 		onDrop:   onDrop,
 		residual: make(map[string]uint64),
-		ingress:  ring.NewMPSC[pendingDispatch](ingressCap),
+		state:    &tableState{table: RoutingTable{}, sessions: make(map[string]*sessionState)},
 	}
-	f.state.Store(&tableState{table: RoutingTable{}, sessions: make(map[string]*sessionState)})
 	// Request-callback arena: one block, bound callbacks included, so the
 	// network hop never allocates while the in-flight window stays within
 	// the arena.
@@ -358,11 +291,6 @@ func New(clock *simclock.Clock, backends map[string]*backend.Backend, netDelay t
 // NetDelay returns the configured one-way dispatch latency.
 func (f *Frontend) NetDelay() time.Duration { return f.netDelay }
 
-// EnableRetry turns on the retry-once path: a dispatch that fails because
-// its target crashed or lost the unit is re-sent to a surviving replica,
-// provided the request's deadline still has room for another network hop.
-func (f *Frontend) EnableRetry() { f.retry = true }
-
 // SetTracer attaches a span tracer; nil detaches it.
 func (f *Frontend) SetTracer(t *trace.Tracer) { f.tracer = t }
 
@@ -377,21 +305,13 @@ func (f *Frontend) SetExtraDelay(d time.Duration) {
 
 // SetTable installs a new routing table (control plane push, §5).
 func (f *Frontend) SetTable(rt RoutingTable) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.setTableLocked(rt, f.state.Load().gen+1)
+	return f.SetTableGen(rt, f.state.gen+1)
 }
 
 // SetTableGen installs a full routing table stamped with the control
 // plane's generation: the initial push and the resync path of delta
 // routing, after which subsequent deltas from that generation apply.
 func (f *Frontend) SetTableGen(rt RoutingTable, gen uint64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.setTableLocked(rt, gen)
-}
-
-func (f *Frontend) setTableLocked(rt RoutingTable, gen uint64) error {
 	if err := rt.Validate(); err != nil {
 		return err
 	}
@@ -402,31 +322,29 @@ func (f *Frontend) setTableLocked(rt RoutingTable, gen uint64) error {
 			}
 		}
 	}
-	cur := f.state.Load()
+	cur := f.state
 	sessions := make(map[string]*sessionState, len(rt))
 	for sid, routes := range rt {
 		st := &sessionState{routes: f.resolve(routes), wrr: make([]float64, len(routes))}
 		// Rate counts survive table pushes: the count is keyed by session,
 		// not by its routes.
 		if old, ok := cur.sessions[sid]; ok {
-			st.count.Store(old.count.Load())
+			st.count = old.count
 		} else if n, ok := f.residual[sid]; ok {
-			st.count.Store(n)
+			st.count = n
 			delete(f.residual, sid)
 		}
 		sessions[sid] = st
 	}
 	// Sessions dropped from the table keep their window counts.
 	for sid, st := range cur.sessions {
-		if _, ok := sessions[sid]; !ok {
-			if n := st.count.Load(); n > 0 {
-				f.residual[sid] += n
-			}
+		if _, ok := sessions[sid]; !ok && st.count > 0 {
+			f.residual[sid] += st.count
 		}
 	}
-	f.state.Store(&tableState{table: rt, sessions: sessions, gen: gen})
-	f.tableVersion.Add(1)
-	f.renewLeaseLocked()
+	f.state = &tableState{table: rt, sessions: sessions, gen: gen}
+	f.tableVersion++
+	f.RenewRouteLease()
 	return nil
 }
 
@@ -439,9 +357,7 @@ func (f *Frontend) setTableLocked(rt RoutingTable, gen uint64) error {
 // or local route repair after a backend death) returns ErrStaleDelta
 // without touching anything; the caller resyncs with SetTableGen.
 func (f *Frontend) ApplyDelta(d TableDelta) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	cur := f.state.Load()
+	cur := f.state
 	if cur.gen != d.FromGen {
 		return fmt.Errorf("%w (have generation %d, delta from %d)", ErrStaleDelta, cur.gen, d.FromGen)
 	}
@@ -466,8 +382,8 @@ func (f *Frontend) ApplyDelta(d TableDelta) error {
 	for _, sid := range d.Remove {
 		delete(table, sid)
 		if st, ok := sessions[sid]; ok {
-			if n := st.count.Load(); n > 0 {
-				f.residual[sid] += n
+			if st.count > 0 {
+				f.residual[sid] += st.count
 			}
 			delete(sessions, sid)
 		}
@@ -476,23 +392,23 @@ func (f *Frontend) ApplyDelta(d TableDelta) error {
 		table[sid] = routes
 		st := &sessionState{routes: f.resolve(routes), wrr: make([]float64, len(routes))}
 		if old, ok := sessions[sid]; ok {
-			st.count.Store(old.count.Load())
+			st.count = old.count
 		} else if n, ok := f.residual[sid]; ok {
-			st.count.Store(n)
+			st.count = n
 			delete(f.residual, sid)
 		}
 		sessions[sid] = st
 	}
-	f.state.Store(&tableState{table: table, sessions: sessions, gen: d.Gen})
-	f.tableVersion.Add(1)
-	f.renewLeaseLocked()
+	f.state = &tableState{table: table, sessions: sessions, gen: d.Gen}
+	f.tableVersion++
+	f.RenewRouteLease()
 	return nil
 }
 
 // Generation returns the control-plane generation of the routing state the
 // frontend currently holds. Local route repairs bump it off the control
 // plane's sequence, which is what makes the next delta detectably stale.
-func (f *Frontend) Generation() uint64 { return f.state.Load().gen }
+func (f *Frontend) Generation() uint64 { return f.state.gen }
 
 // resolve caches the backend pointer of each route. Callers have already
 // validated that every target exists.
@@ -509,33 +425,28 @@ func (f *Frontend) resolve(routes []Route) []resolvedRoute {
 // sheds before routing with DropAdmission; an expired route lease either
 // serves stale or stops routing.
 //
-// Dispatch is lock-free and safe for any number of concurrent callers:
-// routing reads an atomic snapshot, counters are atomic, per-session WRR
-// state is CAS-guarded, and the hand-off to the network hop goes through
-// the ingress ring. Concurrent callers may not overlap with the clock
-// goroutine executing events (the simulation clock is single-threaded);
-// join dispatchers before running the clock, as live mode's pump tick
-// does. With concurrent dispatchers, onDrop and the tracer must be
-// concurrency-safe too.
+// Like every Frontend method, Dispatch must be called from the goroutine
+// that runs the simulation clock: it schedules the network hop as a clock
+// event, and the frontend's state carries no synchronisation.
 func (f *Frontend) Dispatch(req workload.Request) {
 	if f.admission != nil && !f.admit(req.Session) {
-		f.admissionSheds.Add(1)
+		f.admissionSheds++
 		f.drop(req, backend.DropAdmission)
 		return
 	}
-	st, ok := f.state.Load().sessions[req.Session]
+	st, ok := f.state.sessions[req.Session]
 	if !ok || len(st.routes) == 0 {
 		f.drop(req, backend.DropUnroutable)
 		return
 	}
-	if f.leaseTTL > 0 && f.clock.Now()-time.Duration(f.lastPush.Load()) > f.leaseTTL {
+	if f.leaseTTL > 0 && f.clock.Now()-f.lastPush > f.leaseTTL {
 		if !f.serveStale {
 			// Lease expired and stale serving is off: the table can no
 			// longer be trusted, so the request is unroutable.
 			f.drop(req, backend.DropUnroutable)
 			return
 		}
-		f.staleServed.Add(1)
+		f.staleServed++
 	}
 	var r resolvedRoute
 	if f.breakers != nil {
@@ -549,69 +460,30 @@ func (f *Frontend) Dispatch(req workload.Request) {
 	} else {
 		r = st.pick()
 	}
-	st.count.Add(1)
-	f.dispatches.Add(1)
+	st.count++
+	f.dispatches++
 	if f.tracer != nil {
 		f.tracer.Record(trace.Event{
 			At: f.clock.Now(), Kind: trace.Route, ReqID: req.ID,
 			Session: req.Session, Backend: r.BackendID, Unit: r.UnitID,
 		})
 	}
-	f.enqueueHop(req, r)
-}
-
-// enqueueHop hands a picked request to the frontend→backend network hop
-// through the lock-free ingress ring, then pumps. A full ring means the
-// pump owner is behind; the pusher helps by pumping (or spinning until the
-// owner frees a slot).
-func (f *Frontend) enqueueHop(req workload.Request, r resolvedRoute) {
-	pd := pendingDispatch{req: req, r: r, attempt: 1}
-	for i := 0; !f.ingress.Push(pd); i++ {
-		f.pump()
-		if i%64 == 63 {
-			runtime.Gosched()
-		}
-	}
-	f.pump()
-}
-
-// pump elects this goroutine (CAS on pumping) to drain the ingress ring
-// into send, which schedules the delivery event on the simulation clock.
-// Losing the election is fine — the winner drains everything published —
-// but the loser re-checks after the owner releases the flag so an item
-// pushed during the hand-off window is never stranded.
-func (f *Frontend) pump() {
-	for {
-		if !f.pumping.CompareAndSwap(0, 1) {
-			return
-		}
-		for {
-			pd, ok := f.ingress.Pop()
-			if !ok {
-				break
-			}
-			f.send(pd.req, pd.r, pd.attempt)
-		}
-		f.pumping.Store(0)
-		if f.ingress.Empty() {
-			return
-		}
-	}
+	f.send(req, r, 1)
 }
 
 // send delivers req to route r after the network delay, classifying any
 // enqueue failure. attempt is 1 on the first try; deliver consults the
-// retry policy (backoff budget, or legacy retry-once) on failure.
+// retry budget on failure.
 func (f *Frontend) send(req workload.Request, r resolvedRoute, attempt int) {
 	var p *pendingSend
 	if n := len(f.sendPool); n > 0 {
 		p = f.sendPool[n-1]
 		f.sendPool = f.sendPool[:n-1]
-		f.arenaHits.Add(1)
+		f.arenaHits++
 	} else {
 		p = &pendingSend{f: f}
 		p.fire = p.deliver
-		f.arenaGrows.Add(1)
+		f.arenaGrows++
 	}
 	p.req, p.r, p.attempt = req, r, attempt
 	f.clock.After(f.netDelay+f.extraDelay, p.fire)
@@ -621,7 +493,7 @@ func (f *Frontend) send(req workload.Request, r resolvedRoute, attempt int) {
 // than the one that just failed: alive, not behind a cut data link, and
 // (when breakers are on) not breaker-open.
 func (f *Frontend) altRoute(session, exclude string) (resolvedRoute, bool) {
-	if st, ok := f.state.Load().sessions[session]; ok {
+	if st, ok := f.state.sessions[session]; ok {
 		for _, r := range st.routes {
 			if r.BackendID == exclude {
 				continue
@@ -662,9 +534,7 @@ func (f *Frontend) drop(req workload.Request, reason backend.Outcome) {
 // the control plane's sequence, so the next routing delta is rejected and
 // the control plane resyncs in full.
 func (f *Frontend) RemoveBackend(beID string) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	cur := f.state.Load()
+	cur := f.state
 	affected := 0
 	var repaired RoutingTable
 	sessions := cur.sessions
@@ -693,8 +563,8 @@ func (f *Frontend) RemoveBackend(beID string) int {
 		if len(keep) == 0 {
 			delete(repaired, sid)
 			if st != nil {
-				if n := st.count.Load(); n > 0 {
-					f.residual[sid] += n
+				if st.count > 0 {
+					f.residual[sid] += st.count
 				}
 				delete(sessions, sid)
 			}
@@ -702,50 +572,39 @@ func (f *Frontend) RemoveBackend(beID string) int {
 			repaired[sid] = keep
 			fresh := &sessionState{routes: f.resolve(keep), wrr: make([]float64, len(keep))}
 			if st != nil {
-				fresh.count.Store(st.count.Load())
+				fresh.count = st.count
 			}
 			sessions[sid] = fresh
 		}
 	}
 	if repaired != nil {
-		f.state.Store(&tableState{table: repaired, sessions: sessions, gen: cur.gen + 1})
-		f.tableVersion.Add(1)
+		f.state = &tableState{table: repaired, sessions: sessions, gen: cur.gen + 1}
+		f.tableVersion++
 	}
 	return affected
 }
 
 // TableVersion returns how many times the routing table has changed
 // (control-plane pushes plus failure repairs).
-func (f *Frontend) TableVersion() uint64 { return f.tableVersion.Load() }
+func (f *Frontend) TableVersion() uint64 { return f.tableVersion }
 
 // Dispatches returns how many requests this frontend has routed (excludes
 // unroutable admission drops, which never reached a backend).
-func (f *Frontend) Dispatches() uint64 { return f.dispatches.Load() }
+func (f *Frontend) Dispatches() uint64 { return f.dispatches }
 
-// Retries returns how many dispatches took the retry-once path after
-// hitting a dead backend or a reconfiguration race.
-func (f *Frontend) Retries() uint64 { return f.retries.Load() }
-
-// IngressDepth approximates the ingress ring's current occupancy, for
-// self-observability gauges. Racy by nature; see ring.MPSC.Len.
-func (f *Frontend) IngressDepth() int { return f.ingress.Len() }
-
-// IngressCap returns the ingress ring's capacity.
-func (f *Frontend) IngressCap() int { return f.ingress.Cap() }
+// Retries returns how many dispatches were re-sent to another replica
+// after hitting a dead backend or a reconfiguration race.
+func (f *Frontend) Retries() uint64 { return f.retries }
 
 // ArenaStats returns the send-arena reuse counters: pool hits (recycled
 // send state) and grows (fresh allocations after the arena ran dry).
 func (f *Frontend) ArenaStats() (hits, grows uint64) {
-	return f.arenaHits.Load(), f.arenaGrows.Load()
+	return f.arenaHits, f.arenaGrows
 }
 
 // pick implements smooth weighted round-robin, which spreads a session's
-// requests across its replicas proportionally and deterministically. The
-// accumulator scan runs under the session's CAS guard so concurrent
-// dispatchers of one session stay correct; the pick sequence itself is
-// unchanged from the unguarded version.
+// requests across its replicas proportionally and deterministically.
 func (st *sessionState) pick() resolvedRoute {
-	st.lock()
 	state := st.wrr
 	var total float64
 	best := 0
@@ -758,24 +617,21 @@ func (st *sessionState) pick() resolvedRoute {
 		}
 	}
 	state[best] -= total
-	r := st.routes[best]
-	st.unlock()
-	return r
+	return st.routes[best]
 }
 
 // ObservedRates returns each session's request rate (req/s) since the last
 // call, then resets the window. This feeds epoch scheduling ("load
 // statistics from the runtime", §5).
 func (f *Frontend) ObservedRates() map[string]float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	cur := f.state.Load()
+	cur := f.state
 	elapsed := (f.clock.Now() - f.windowFrom).Seconds()
 	rates := make(map[string]float64, len(cur.sessions)+len(f.residual))
 	for sid, st := range cur.sessions {
-		if n := st.count.Swap(0); n > 0 && elapsed > 0 {
+		if n := st.count; n > 0 && elapsed > 0 {
 			rates[sid] = float64(n) / elapsed
 		}
+		st.count = 0
 	}
 	if elapsed > 0 {
 		for sid, n := range f.residual {
@@ -789,7 +645,7 @@ func (f *Frontend) ObservedRates() map[string]float64 {
 
 // Sessions returns the sessions currently routable, sorted.
 func (f *Frontend) Sessions() []string {
-	table := f.state.Load().table
+	table := f.state.table
 	out := make([]string, 0, len(table))
 	for sid := range table {
 		out = append(out, sid)
@@ -801,7 +657,7 @@ func (f *Frontend) Sessions() []string {
 // TableSnapshot returns a deep copy of the current routing table, for
 // tests and tools that compare routing state across runs.
 func (f *Frontend) TableSnapshot() RoutingTable {
-	table := f.state.Load().table
+	table := f.state.table
 	out := make(RoutingTable, len(table))
 	for sid, routes := range table {
 		out[sid] = append([]Route(nil), routes...)

@@ -107,6 +107,9 @@ func (d *Deployment) Validate() error {
 	if d.GPUs < 1 {
 		return fmt.Errorf("spec: gpus must be >= 1")
 	}
+	if d.EpochSec < 0 {
+		return fmt.Errorf("spec: epoch_sec must be >= 0 (0 = default)")
+	}
 	switch d.System {
 	case "", string(cluster.Nexus), string(cluster.NexusParallel),
 		string(cluster.Clipper), string(cluster.TFServing):

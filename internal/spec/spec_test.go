@@ -47,6 +47,7 @@ func TestValidateErrors(t *testing.T) {
 		doc  string
 	}{
 		{"no gpus", `{"sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
+		{"negative epoch", `{"gpus":1,"epoch_sec":-5,"sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
 		{"bad system", `{"gpus":1,"system":"zz","sessions":[{"id":"a","model":"m","slo_ms":1,"rate":1}]}`},
 		{"empty workload", `{"gpus":1}`},
 		{"session no id", `{"gpus":1,"sessions":[{"model":"m","slo_ms":1,"rate":1}]}`},

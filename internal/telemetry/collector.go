@@ -22,8 +22,8 @@ type Config struct {
 	// it out keeps the snapshot stream byte-identical across runs.
 	WallTimings bool
 	// SelfObserve additionally exports runtime self-observability gauges
-	// (goroutine count, heap bytes, cumulative GC pause, ingress ring
-	// occupancy, send-arena reuse rate). Off by default: runtime state is
+	// (goroutine count, heap bytes, cumulative GC pause, send-arena reuse
+	// rate). Off by default: runtime state is
 	// nondeterministic, like WallTimings, and leaving it out keeps the
 	// snapshot stream byte-identical across runs and worker counts.
 	SelfObserve bool

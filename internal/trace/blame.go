@@ -13,7 +13,7 @@ import (
 //	Admission     — frontend arrival until a backend was picked (admission
 //	                control, routing-table waits)
 //	Dispatch      — route decision until the request entered its unit's
-//	                queue (ingress ring hop + network delay + retries)
+//	                queue (network delay + retries)
 //	Stall         — batch-formation wait: the request sat queued while its
 //	                batch was still filling (until the last member arrived)
 //	Queue         — the formed batch waiting for the GPU
