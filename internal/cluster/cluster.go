@@ -9,6 +9,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -115,14 +116,12 @@ type Config struct {
 	// OnFailure, when set, observes every backend declared dead by the
 	// control plane.
 	OnFailure func(backendID string, at time.Duration)
-	// PlannerShards routes epoch planning through the sharded planner with
-	// this many concurrent shards (0, the default, keeps the monolithic
-	// planner and all its goldens; 1 is the degenerate sharded planner,
-	// byte-identical to monolithic).
+	// PlannerShards partitions epoch planning across this many concurrent
+	// planner shards; 0 and 1 both plan as one shard. Negative is rejected.
 	PlannerShards int
 	// PlanHysteresis is the relative rate band within which a planner shard
-	// skips re-packing and carries its plan forward (requires
-	// PlannerShards >= 1; 0 disables skipping).
+	// skips re-packing and carries its plan forward (0 disables skipping;
+	// negative, NaN and infinite bands are rejected).
 	PlanHysteresis float64
 	// DeltaRouting pushes routing-table updates to frontends as per-session
 	// deltas with generation checks instead of full-table replacements.
@@ -295,6 +294,12 @@ type queryInstance struct {
 func New(cfg Config) (*Deployment, error) {
 	if cfg.GPUs < 1 {
 		return nil, fmt.Errorf("cluster: need at least 1 GPU")
+	}
+	if cfg.PlannerShards < 0 {
+		return nil, fmt.Errorf("cluster: negative PlannerShards %d", cfg.PlannerShards)
+	}
+	if h := cfg.PlanHysteresis; h < 0 || math.IsNaN(h) || math.IsInf(h, 0) {
+		return nil, fmt.Errorf("cluster: PlanHysteresis %v is not a finite band >= 0", h)
 	}
 	if cfg.GPU == "" {
 		cfg.GPU = profiler.GTX1080Ti
@@ -586,9 +591,8 @@ func (d *Deployment) controlConfig() globalsched.Config {
 		spec = profiler.Specs()[profiler.GTX1080Ti]
 	}
 	cfg := globalsched.Config{
-		Epoch:       d.cfg.Epoch,
-		Incremental: true,
-		OnEpoch:     d.cfg.OnEpoch,
+		Epoch:   d.cfg.Epoch,
+		OnEpoch: d.cfg.OnEpoch,
 		Sched: scheduler.Config{
 			GPUMemBytes:      spec.MemBytes,
 			Placement:        d.cfg.Placement,

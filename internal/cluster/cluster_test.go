@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -13,8 +14,20 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{GPUs: 0}); err == nil {
-		t.Fatal("zero GPUs accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"zero GPUs", Config{GPUs: 0}},
+		{"negative shards", Config{GPUs: 4, PlannerShards: -1}},
+		{"negative hysteresis", Config{GPUs: 4, PlanHysteresis: -0.05}},
+		{"NaN hysteresis", Config{GPUs: 4, PlanHysteresis: math.NaN()}},
+		{"+Inf hysteresis", Config{GPUs: 4, PlanHysteresis: math.Inf(1)}},
+		{"-Inf hysteresis", Config{GPUs: 4, PlanHysteresis: math.Inf(-1)}},
+	} {
+		if _, err := New(tc.cfg); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 

@@ -26,6 +26,9 @@ type fakePool struct {
 	free     []*backend.Backend
 	cfg      backend.Config
 	onDone   backend.CompletionFunc
+	// refuse makes the next refuse Acquire calls fail as if the pool were
+	// exhausted.
+	refuse int
 }
 
 func newFakePool(clock *simclock.Clock, capacity int, cfg backend.Config, onDone backend.CompletionFunc) *fakePool {
@@ -33,6 +36,10 @@ func newFakePool(clock *simclock.Clock, capacity int, cfg backend.Config, onDone
 }
 
 func (p *fakePool) Acquire() (string, *backend.Backend, error) {
+	if p.refuse > 0 {
+		p.refuse--
+		return "", nil, fmt.Errorf("pool refused acquire")
+	}
 	if len(p.free) > 0 {
 		be := p.free[len(p.free)-1]
 		p.free = p.free[:len(p.free)-1]
@@ -123,7 +130,6 @@ func nexusConfig() Config {
 		QueryAnalysis: true,
 		PrefixBatch:   true,
 		Squishy:       true,
-		Incremental:   true,
 	}
 }
 

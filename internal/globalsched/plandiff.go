@@ -183,9 +183,8 @@ func (s *Scheduler) auditPlanDiff(nowMS float64, recs []trace.PlacementRecord) {
 		Changes:       DiffPlacements(s.lastAudited, recs),
 	}
 	// Shard counts only carry signal under hysteresis (skips cannot happen
-	// without it). Gating them there also keeps the degenerate single-shard
-	// planner's audit byte-identical to the monolithic planner's, per the
-	// shard determinism contract.
+	// without it). Gating them there also keeps a default single-shard
+	// deployment's audit free of shard counts.
 	if s.cfg.PlanHysteresis > 0 {
 		rec.ShardsReplan = s.lastShardStats.Replanned
 		rec.ShardsSkipped = s.lastShardStats.Skipped

@@ -96,7 +96,7 @@ func BenchmarkPack10kGPU(b *testing.B) {
 	}
 	b.Run("incremental-nochange", func(b *testing.B) {
 		sp := NewShardPlanner(8)
-		opts := ShardOpts{Incremental: true, Hysteresis: 0.05}
+		opts := ShardOpts{Hysteresis: 0.05}
 		res, err := sp.Plan(sessions, profiles, Config{}, opts)
 		if err != nil {
 			b.Fatal(err)

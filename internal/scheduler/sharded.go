@@ -33,9 +33,9 @@ func ShardOf(sessionID string, shards int) int {
 	return int(h.Sum32() % uint32(shards))
 }
 
-// shardNodePrefix namespaces per-shard node IDs in merged plans: shard 3's
+// shardNodeID namespaces per-shard node IDs in merged plans: shard 3's
 // local node "n7" becomes "s3/n7". Single-shard planners keep bare local
-// IDs, so a 1-shard plan is byte-identical to the monolithic planner's.
+// IDs, so a 1-shard plan is exactly what Pack and Incremental produce.
 func shardNodeID(shard, shards int, local string) string {
 	if shards <= 1 {
 		return local
@@ -44,7 +44,7 @@ func shardNodeID(shard, shards int, local string) string {
 }
 
 // NodeShard parses the shard index out of a merged-plan node ID ("s3/n7"
-// -> 3, true). Monolithic node IDs ("n7") report false.
+// -> 3, true). Single-shard node IDs ("n7") report false.
 func NodeShard(id string) (int, bool) {
 	if !strings.HasPrefix(id, "s") {
 		return 0, false
@@ -62,9 +62,6 @@ func NodeShard(id string) (int, bool) {
 
 // ShardOpts selects per-epoch sharded planning behaviour.
 type ShardOpts struct {
-	// Incremental reuses each shard's previous plan via Incremental()
-	// instead of re-packing from scratch.
-	Incremental bool
 	// Hysteresis is the relative rate band within which a shard skips
 	// re-packing and carries its plan forward (0 disables skipping, every
 	// shard re-plans every epoch). A shard re-plans when any member
@@ -75,8 +72,6 @@ type ShardOpts struct {
 	// plane sets it on admission-control re-iterations, where globally
 	// scaled rates must reach every shard.
 	Force bool
-	// Workers bounds the concurrent shard planners (0 = one per shard).
-	Workers int
 	// WallClock records per-shard planning wall time in ShardStats.
 	// Off by default: wall time is nondeterministic.
 	WallClock bool
@@ -137,7 +132,8 @@ type ShardPlanner struct {
 	home   map[string]int // session -> shard (hash default, rebalance moves)
 }
 
-// NewShardPlanner creates a planner with the given shard count (minimum 1).
+// NewShardPlanner creates a planner with the given shard count; counts
+// below 1 plan as one shard.
 func NewShardPlanner(shards int) *ShardPlanner {
 	if shards < 1 {
 		shards = 1
@@ -149,9 +145,6 @@ func NewShardPlanner(shards int) *ShardPlanner {
 		home:   make(map[string]int),
 	}
 }
-
-// Shards returns the shard count.
-func (sp *ShardPlanner) Shards() int { return sp.shards }
 
 // Plan runs one sharded planning pass. It does not mutate the planner:
 // the control plane may call it several times per epoch while admission
@@ -188,11 +181,10 @@ func (sp *ShardPlanner) Plan(sessions []Session, profiles map[string]*profiler.P
 		wall  time.Duration
 		err   error
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = n
-	}
-	outs := runner.MapN(workers, n, func(k int) shardOut {
+	// Incremental reuse does not understand slice-pinned placements, so
+	// spatial and hybrid configs re-pack every dirty shard from scratch.
+	incremental := cfg.Placement == PlaceTemporal
+	outs := runner.Map(n, func(k int) shardOut {
 		if !dirty[k] {
 			return shardOut{plan: sp.prev[k]}
 		}
@@ -201,7 +193,7 @@ func (sp *ShardPlanner) Plan(sessions []Session, profiles map[string]*profiler.P
 			start = time.Now()
 		}
 		var o shardOut
-		if opts.Incremental && sp.prev[k] != nil {
+		if incremental && sp.prev[k] != nil {
 			o.plan, o.stats, o.err = Incremental(sp.prev[k], members[k], profiles, cfg)
 		} else {
 			o.plan, o.err = Pack(members[k], profiles, cfg)
@@ -222,7 +214,11 @@ func (sp *ShardPlanner) Plan(sessions []Session, profiles map[string]*profiler.P
 			res.Stats.NodesAdded += o.stats.NodesAdded
 			res.Stats.NodesRemoved += o.stats.NodesRemoved
 			res.Stats.SessionsMoved += o.stats.SessionsMoved
-			res.sigs[k] = signatures(members[k])
+			if opts.Hysteresis > 0 {
+				// Only the hysteresis band reads signatures; without
+				// one a missing signature just marks the shard dirty.
+				res.sigs[k] = signatures(members[k])
+			}
 		} else {
 			res.Stats.Skipped++
 			res.Stats.NodesKept += len(o.plan.GPUs)

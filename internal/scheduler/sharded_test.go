@@ -2,11 +2,14 @@ package scheduler
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"nexus/internal/profiler"
+	"nexus/internal/runner"
 )
 
 func TestShardOfDeterministic(t *testing.T) {
@@ -104,14 +107,16 @@ func TestShardedMergedPlanValid(t *testing.T) {
 	}
 }
 
-// TestShardedDeterministicAcrossWorkers: worker count is a throughput knob,
-// never a planning input — merged plans must match at any parallelism.
+// TestShardedDeterministicAcrossWorkers: the runner's worker count is a
+// throughput knob, never a planning input — merged plans must match at any
+// parallelism.
 func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	sessions, profiles := shardWorkload(48)
 	var want *Plan
 	for _, workers := range []int{1, 2, 8} {
-		sp := NewShardPlanner(8)
-		res, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Workers: workers})
+		prev := runner.SetDefaultWorkers(workers)
+		res, err := NewShardPlanner(8).Plan(sessions, profiles, Config{}, ShardOpts{})
+		runner.SetDefaultWorkers(prev)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -125,17 +130,76 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestOneShardMatchesPackThenIncremental is the differential oracle for the
+// control plane's only squishy planning path: over random session sets and
+// a seeded five-epoch rate walk, the 1-shard planner (Plan + Commit each
+// epoch) must equal Pack on the first epoch and Incremental chained on its
+// own output after that — plan and move stats alike — and every plan must
+// pass Validate.
+func TestOneShardMatchesPackThenIncremental(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		sessions, profiles := randomWorkload(rng)
+		cfg := Config{GPUMemBytes: 11 << 30}
+		sp := NewShardPlanner(1)
+		var oracle *Plan
+		for epoch := 0; epoch < 5; epoch++ {
+			if epoch > 0 {
+				next := make([]Session, len(sessions))
+				copy(next, sessions)
+				for i := range next {
+					next[i].Rate *= 0.5 + rng.Float64()
+					if rng.Intn(10) == 0 {
+						next[i].Rate = 0
+					}
+				}
+				sessions = next
+			}
+			var want MoveStats
+			var err error
+			if oracle == nil {
+				oracle, err = Pack(sessions, profiles, cfg)
+			} else {
+				oracle, want, err = Incremental(oracle, sessions, profiles, cfg)
+			}
+			if err != nil {
+				t.Logf("seed %d epoch %d: oracle: %v", seed, epoch, err)
+				return false
+			}
+			res, err := sp.Plan(sessions, profiles, cfg, ShardOpts{})
+			if err != nil {
+				t.Logf("seed %d epoch %d: planner: %v", seed, epoch, err)
+				return false
+			}
+			sp.Commit(res)
+			if !reflect.DeepEqual(res.Plan, oracle) || res.Stats.MoveStats != want {
+				t.Logf("seed %d epoch %d: 1-shard planner diverges from the oracle:\n got %+v %+v\nwant %+v %+v",
+					seed, epoch, res.Plan, res.Stats.MoveStats, oracle, want)
+				return false
+			}
+			if err := Validate(res.Plan, sessions, profiles, cfg); err != nil {
+				t.Logf("seed %d epoch %d: %v", seed, epoch, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestShardedHysteresisSkip: an unchanged workload re-plans nothing; every
 // shard carries its plan forward verbatim.
 func TestShardedHysteresisSkip(t *testing.T) {
 	sessions, profiles := shardWorkload(24)
 	sp := NewShardPlanner(2)
-	first, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Incremental: true, Hysteresis: 0.05})
+	first, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Hysteresis: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp.Commit(first)
-	second, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Incremental: true, Hysteresis: 0.05})
+	second, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Hysteresis: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +219,7 @@ func TestShardedHysteresisSkip(t *testing.T) {
 	for i := range wobbled {
 		wobbled[i].Rate *= 1.001
 	}
-	third, err := sp.Plan(wobbled, profiles, Config{}, ShardOpts{Incremental: true, Hysteresis: 0.05})
+	third, err := sp.Plan(wobbled, profiles, Config{}, ShardOpts{Hysteresis: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +233,7 @@ func TestShardedHysteresisSkip(t *testing.T) {
 func TestShardedHysteresisDirtyShardOnly(t *testing.T) {
 	sessions, profiles := shardWorkload(24)
 	sp := NewShardPlanner(4)
-	first, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Incremental: true, Hysteresis: 0.05})
+	first, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Hysteresis: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +241,7 @@ func TestShardedHysteresisDirtyShardOnly(t *testing.T) {
 	changed := make([]Session, len(sessions))
 	copy(changed, sessions)
 	changed[0].Rate *= 2
-	second, err := sp.Plan(changed, profiles, Config{}, ShardOpts{Incremental: true, Hysteresis: 0.05})
+	second, err := sp.Plan(changed, profiles, Config{}, ShardOpts{Hysteresis: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +259,12 @@ func TestShardedHysteresisDirtyShardOnly(t *testing.T) {
 func TestShardedForceReplansAll(t *testing.T) {
 	sessions, profiles := shardWorkload(24)
 	sp := NewShardPlanner(4)
-	first, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Incremental: true, Hysteresis: 0.05})
+	first, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Hysteresis: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp.Commit(first)
-	second, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Incremental: true, Hysteresis: 0.05, Force: true})
+	second, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Hysteresis: 0.05, Force: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,13 +278,13 @@ func TestShardedForceReplansAll(t *testing.T) {
 func TestShardedPlanIsPure(t *testing.T) {
 	sessions, profiles := shardWorkload(24)
 	sp := NewShardPlanner(2)
-	first, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Incremental: true, Hysteresis: 0.05})
+	first, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Hysteresis: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// No Commit: a second identical Plan call must still see no previous
 	// state and re-plan everything, identically.
-	second, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Incremental: true, Hysteresis: 0.05})
+	second, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{Hysteresis: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
