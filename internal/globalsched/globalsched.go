@@ -1482,11 +1482,7 @@ func ratesChangedMaterially(prev map[string]float64, sessions []scheduler.Sessio
 		// Material = both a meaningful relative change and a meaningful
 		// absolute one; sub-2 r/s wobbles on tiny sessions do not justify
 		// reshuffling containers.
-		diff := sess.Rate - old
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > 2 && diff > 0.25*old {
+		if scheduler.RateOutsideBand(old, sess.Rate, 0.25, 2) {
 			return true
 		}
 	}

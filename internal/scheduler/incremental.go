@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -31,12 +30,10 @@ const lowOccupancy = 0.25
 // released; evicted and new sessions are bin-packed into whatever is left.
 func Incremental(prev *Plan, sessions []Session, profiles map[string]*profiler.Profile, cfg Config) (*Plan, MoveStats, error) {
 	var stats MoveStats
-	byID := make(map[string]Session)
 	for _, s := range sessions {
 		if err := s.Validate(); err != nil {
 			return nil, stats, err
 		}
-		byID[s.ID] = s
 	}
 	prevNode := make(map[string]string) // session -> shared node ID in prev
 
@@ -72,10 +69,9 @@ func Incremental(prev *Plan, sessions []Session, profiles map[string]*profiler.P
 		if !ok {
 			return nil, stats, fmt.Errorf("scheduler: no profile for model %s (session %s)", s.ModelID, s.ID)
 		}
-		maxLat := time.Duration(float64(s.SLO) / cfg.sloFactor())
-		b := p.MaxBatchWithin(maxLat)
-		if b == 0 {
-			return nil, stats, fmt.Errorf("scheduler: session %s infeasible under SLO %v", s.ID, s.SLO)
+		b, err := saturateBatch(s, p, cfg)
+		if err != nil {
+			return nil, stats, err
 		}
 		t := p.Throughput(b)
 		n := int(s.Rate / t)
@@ -96,16 +92,9 @@ func Incremental(prev *Plan, sessions []Session, profiles map[string]*profiler.P
 		}
 		serveLeft := s.Rate
 		for i := 0; i < dedicated; i++ {
-			serve := t
-			if serve > serveLeft {
-				serve = serveLeft
-			}
+			serve := min(t, serveLeft)
 			serveLeft -= serve
-			node := GPUPlan{
-				Duty:      p.BatchLatency(b),
-				Saturated: true,
-				Allocs:    []Alloc{{SessionID: s.ID, ModelID: s.ModelID, Batch: b, Rate: serve}},
-			}
+			node := saturatedNode(s, p, b, serve)
 			if i < len(reuse) {
 				node.ID = reuse[i].ID
 				stats.NodesKept++
@@ -208,23 +197,22 @@ func Incremental(prev *Plan, sessions []Session, profiles map[string]*profiler.P
 	}
 
 	// --- consolidate underutilized nodes -----------------------------------
+	// A node drained away (or being drained) is nil in cands, which lists
+	// the kept nodes in keptNodes' order followed by the fresh nodes.
 	sort.Slice(keptNodes, func(i, j int) bool { return keptNodes[i].occ < keptNodes[j].occ })
+	cands := append(append([]*resNode(nil), keptNodes...), freshNodes...)
 	for i, n := range keptNodes {
-		if n == nil || n.occ >= lowOccupancy {
+		if n.occ >= lowOccupancy {
 			continue
 		}
-		others := make([]*resNode, 0, len(keptNodes)+len(freshNodes))
-		for j, m := range keptNodes {
-			if j != i && m != nil {
-				others = append(others, m)
-			}
-		}
-		others = append(others, freshNodes...)
-		if drainNode(n, others, cfg) {
+		cands[i] = nil
+		if _, ok := drain(n, cands, drainGrowthMargin, cfg); ok {
 			stats.SessionsMoved += len(n.allocs)
 			stats.NodesRemoved++
 			stats.NodesKept--
 			keptNodes[i] = nil
+		} else {
+			cands[i] = n
 		}
 	}
 
@@ -358,58 +346,15 @@ func rebuildNode(members []Session, profiles map[string]*profiler.Profile, cfg C
 func buildNode(allocs []residualAlloc, cfg Config) (*resNode, bool) {
 	duty := allocs[0].duty
 	for _, a := range allocs[1:] {
-		if a.duty < duty {
-			duty = a.duty
-		}
+		duty = min(duty, a.duty)
 	}
-	node := &resNode{duty: duty}
-	var busy time.Duration
-	for _, a := range allocs {
-		nb := int(math.Ceil(duty.Seconds()*a.session.Rate - 1e-12))
-		if nb < 1 {
-			nb = 1
-		}
-		if nb > a.profile.MaxBatch {
-			return nil, false
-		}
-		lat := a.profile.BatchLatency(nb)
-		if duty+lat > a.session.SLO {
-			return nil, false
-		}
-		busy += lat
-		a.batch = nb
-		node.allocs = append(node.allocs, a)
-	}
-	if busy > duty {
+	occ, ok := fit(duty, allocs, nil, cfg)
+	if !ok {
 		return nil, false
 	}
-	if cfg.GPUMemBytes > 0 && node.memBytes() > cfg.GPUMemBytes {
-		return nil, false
-	}
-	node.computeOcc()
+	node := &resNode{}
+	node.merge(duty, allocs, nil, occ)
 	return node, true
-}
-
-// placeBestFit merges item into the candidate node that yields the highest
-// post-merge occupancy, mutating that node in place. It reports success.
-func placeBestFit(item *resNode, nodes []*resNode, cfg Config) bool {
-	bestIdx := -1
-	var best *resNode
-	for i, n := range nodes {
-		if n == nil {
-			continue
-		}
-		merged, ok := mergeNodes(n, item, cfg)
-		if ok && (best == nil || merged.occ > best.occ) {
-			best, bestIdx = merged, i
-		}
-	}
-	if best == nil {
-		return false
-	}
-	best.planID = nodes[bestIdx].planID
-	*nodes[bestIdx] = *best
-	return true
 }
 
 // drainGrowthMargin requires a drained node's sessions to fit their new
@@ -417,47 +362,6 @@ func placeBestFit(item *resNode, nodes []*resNode, cfg Config) bool {
 // slack would flap: the next epoch's rate jitter would evict the sessions
 // right back out, and each move costs a model reload.
 const drainGrowthMargin = 1.15
-
-// drainNode tries to move every session of n into other nodes; on success
-// the moves are applied and it returns true, otherwise nothing changes.
-func drainNode(n *resNode, others []*resNode, cfg Config) bool {
-	// First check placement feasibility with rates inflated by the growth
-	// margin, on scratch copies.
-	probe := make([]*resNode, len(others))
-	for i, o := range others {
-		c := *o
-		c.allocs = append([]residualAlloc(nil), o.allocs...)
-		probe[i] = &c
-	}
-	for _, a := range n.allocs {
-		inflated := a
-		inflated.session.Rate *= drainGrowthMargin
-		item := &resNode{duty: a.duty, allocs: []residualAlloc{inflated}}
-		item.computeOcc()
-		if !placeBestFit(item, probe, cfg) {
-			return false
-		}
-	}
-	// Feasible with margin: apply for real at actual rates (fits a
-	// fortiori, since smaller rates need no larger batches).
-	copies := make([]*resNode, len(others))
-	for i, o := range others {
-		c := *o
-		c.allocs = append([]residualAlloc(nil), o.allocs...)
-		copies[i] = &c
-	}
-	for _, a := range n.allocs {
-		item := &resNode{duty: a.duty, allocs: []residualAlloc{a}}
-		item.computeOcc()
-		if !placeBestFit(item, copies, cfg) {
-			return false
-		}
-	}
-	for i, o := range others {
-		*o = *copies[i]
-	}
-	return true
-}
 
 // planMaxSeq returns the largest numeric suffix of "n<k>" node IDs.
 func planMaxSeq(p *Plan) int {

@@ -3,6 +3,8 @@ package scheduler
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -276,15 +278,20 @@ func shardDirty(members []Session, sigs map[string]sessionSig, band float64) boo
 		if !ok || old.slo != m.SLO || old.model != m.ModelID {
 			return true
 		}
-		diff := m.Rate - old.rate
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > band*old.rate && diff > rateHysteresisFloor {
+		if RateOutsideBand(old.rate, m.Rate, band, rateHysteresisFloor) {
 			return true
 		}
 	}
 	return false
+}
+
+// RateOutsideBand reports whether a rate moved from old to cur by more
+// than both the relative band (a fraction of old) and the absolute floor
+// in r/s. Re-planning triggers use it so that sub-floor wobbles on tiny
+// sessions never disturb a plan.
+func RateOutsideBand(old, cur, band, floor float64) bool {
+	diff := math.Abs(cur - old)
+	return diff > band*old && diff > floor
 }
 
 // shardNode is one shared node of a freshly replanned shard, a candidate
@@ -336,8 +343,8 @@ func (sp *ShardPlanner) rebalance(res *ShardResult, dirty []bool,
 		return
 	}
 	// Donors: lowest occupancy first, deterministic tie-break, bounded.
-	donors := make([]*shardNode, 0, len(nodes))
-	for _, sn := range nodes {
+	donors := make([]int, 0, len(nodes))
+	for i, sn := range nodes {
 		if sn.res.occ >= lowOccupancy {
 			continue
 		}
@@ -349,20 +356,29 @@ func (sp *ShardPlanner) rebalance(res *ShardResult, dirty []bool,
 			}
 		}
 		if eligible {
-			donors = append(donors, sn)
+			donors = append(donors, i)
 		}
 	}
-	sortShardNodes(donors)
+	sort.Slice(donors, func(i, j int) bool { return shardNodeLess(nodes[donors[i]], nodes[donors[j]]) })
 	if len(donors) > maxShardDonors {
 		donors = donors[:maxShardDonors]
 	}
+	// cands holds every live node's resNode, by index in nodes; drained
+	// donors are nil. There is no growth margin here: flap protection comes
+	// from the hysteresis band upstream (a shard whose rates stay in band
+	// never re-plans, so never re-balances), and with hysteresis off the
+	// decision is a pure function of this epoch's rates.
+	cands := make([]*resNode, len(nodes))
+	for i, sn := range nodes {
+		cands[i] = sn.res
+	}
 	changed := make(map[int]bool)
-	for _, d := range donors {
-		if d.removed {
-			continue
-		}
-		dests, ok := drainShardNode(d, nodes, cfg)
+	for _, di := range donors {
+		d := nodes[di]
+		cands[di] = nil
+		dests, ok := drain(d.res, cands, 1, cfg)
 		if !ok {
+			cands[di] = d.res
 			continue
 		}
 		d.removed = true
@@ -416,16 +432,8 @@ func pinKey(shard int, sessionID string) string {
 	return strconv.Itoa(shard) + "\x00" + sessionID
 }
 
-// sortShardNodes orders rebalance donors: occupancy ascending, then shard,
+// shardNodeLess orders rebalance donors: occupancy ascending, then shard,
 // then position — a total, deterministic order.
-func sortShardNodes(nodes []*shardNode) {
-	for i := 1; i < len(nodes); i++ {
-		for j := i; j > 0 && shardNodeLess(nodes[j], nodes[j-1]); j-- {
-			nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
-		}
-	}
-}
-
 func shardNodeLess(a, b *shardNode) bool {
 	if a.res.occ != b.res.occ {
 		return a.res.occ < b.res.occ
@@ -454,46 +462,4 @@ func gpuToRes(g *GPUPlan, profiles map[string]*profiler.Profile) *resNode {
 	}
 	rn.computeOcc()
 	return rn
-}
-
-// drainShardNode tries to move every allocation of donor d into other live
-// shard nodes, best-fit. On success the moves are applied in place and the
-// destination index of each allocation is returned; on failure nothing
-// changes. Unlike intra-shard consolidation there is no growth margin:
-// flap protection comes from the hysteresis band upstream (a shard whose
-// rates stay in band never re-plans, so never re-balances), and with
-// hysteresis off the decision is a pure function of this epoch's rates.
-func drainShardNode(d *shardNode, nodes []*shardNode, cfg Config) ([]int, bool) {
-	// mergeNodes never mutates its inputs, so speculative placement just
-	// swaps node pointers; rollback restores the originals.
-	touched := make(map[int]*resNode)
-	dests := make([]int, 0, len(d.res.allocs))
-	for _, a := range d.res.allocs {
-		item := &resNode{duty: a.duty, allocs: []residualAlloc{a}}
-		item.computeOcc()
-		bestIdx := -1
-		var best *resNode
-		for i, sn := range nodes {
-			if sn == d || sn.removed {
-				continue
-			}
-			merged, ok := mergeNodes(sn.res, item, cfg)
-			if ok && (best == nil || merged.occ > best.occ) {
-				best, bestIdx = merged, i
-			}
-		}
-		if best == nil {
-			for i, saved := range touched {
-				nodes[i].res = saved
-			}
-			return nil, false
-		}
-		if _, saved := touched[bestIdx]; !saved {
-			touched[bestIdx] = nodes[bestIdx].res
-		}
-		best.planID = nodes[bestIdx].res.planID
-		nodes[bestIdx].res = best
-		dests = append(dests, bestIdx)
-	}
-	return dests, true
 }

@@ -52,24 +52,14 @@ func ScheduleSaturate(sessions []Session, profiles map[string]*profiler.Profile,
 		if !ok {
 			return nil, nil, fmt.Errorf("scheduler: no profile for model %s (session %s)", s.ModelID, s.ID)
 		}
-		// B = argmax{b : factor*ℓ(b) <= SLO}; worst case is one full
-		// batch of waiting plus one of execution (§4.1).
-		maxLat := time.Duration(float64(s.SLO) / cfg.sloFactor())
-		b := p.MaxBatchWithin(maxLat)
-		if b == 0 {
-			return nil, nil, fmt.Errorf("scheduler: session %s infeasible: %v*l(1)=%v exceeds SLO %v",
-				s.ID, cfg.sloFactor(), time.Duration(cfg.sloFactor()*float64(p.BatchLatency(1))), s.SLO)
+		b, err := saturateBatch(s, p, cfg)
+		if err != nil {
+			return nil, nil, err
 		}
 		t := p.Throughput(b)
 		n := int(s.Rate / t)
 		for i := 0; i < n; i++ {
-			nodes = append(nodes, GPUPlan{
-				Duty:      p.BatchLatency(b),
-				Saturated: true,
-				Allocs: []Alloc{{
-					SessionID: s.ID, ModelID: s.ModelID, Batch: b, Rate: t,
-				}},
-			})
+			nodes = append(nodes, saturatedNode(s, p, b, t))
 		}
 		if r := s.Rate - float64(n)*t; r > rateEpsilon {
 			rs := s
@@ -78,6 +68,28 @@ func ScheduleSaturate(sessions []Session, profiles map[string]*profiler.Profile,
 		}
 	}
 	return nodes, residue, nil
+}
+
+// saturateBatch is the batch B of session s's saturated nodes:
+// argmax{b : factor*ℓ(b) <= SLO}, since the worst case is one full batch
+// of waiting plus one of execution (§4.1).
+func saturateBatch(s Session, p *profiler.Profile, cfg Config) (int, error) {
+	b := p.MaxBatchWithin(time.Duration(float64(s.SLO) / cfg.sloFactor()))
+	if b == 0 {
+		return 0, fmt.Errorf("scheduler: session %s infeasible: %v*l(1)=%v exceeds SLO %v",
+			s.ID, cfg.sloFactor(), time.Duration(cfg.sloFactor()*float64(p.BatchLatency(1))), s.SLO)
+	}
+	return b, nil
+}
+
+// saturatedNode is a whole GPU running session s's batch b back to back,
+// serving rate of its load.
+func saturatedNode(s Session, p *profiler.Profile, b int, rate float64) GPUPlan {
+	return GPUPlan{
+		Duty:      p.BatchLatency(b),
+		Saturated: true,
+		Allocs:    []Alloc{{SessionID: s.ID, ModelID: s.ModelID, Batch: b, Rate: rate}},
+	}
 }
 
 // residualAlloc is the initial single-session allocation of a residual
@@ -153,21 +165,12 @@ func ResidualPlacement(s Session, p *profiler.Profile, cfg Config) (dedicated []
 			}, nil
 		}
 		// Unsustainable as a shared allocation: dedicate a saturated node.
-		maxLat := time.Duration(float64(s.SLO) / cfg.sloFactor())
-		bSat := p.MaxBatchWithin(maxLat)
-		if bSat == 0 {
-			return nil, nil, fmt.Errorf("scheduler: session %s infeasible under SLO %v", s.ID, s.SLO)
+		bSat, err := saturateBatch(s, p, cfg)
+		if err != nil {
+			return nil, nil, err
 		}
-		tput := p.Throughput(bSat)
-		serve := rate
-		if serve > tput {
-			serve = tput
-		}
-		dedicated = append(dedicated, GPUPlan{
-			Duty:      p.BatchLatency(bSat),
-			Saturated: true,
-			Allocs:    []Alloc{{SessionID: s.ID, ModelID: s.ModelID, Batch: bSat, Rate: serve}},
-		})
+		serve := min(rate, p.Throughput(bSat))
+		dedicated = append(dedicated, saturatedNode(s, p, bSat, serve))
 		rate -= serve
 	}
 	return dedicated, nil, nil
@@ -207,17 +210,7 @@ func ScheduleResidue(residue []Session, profiles map[string]*profiler.Profile, c
 	for i := range allocs {
 		item := &resNode{duty: allocs[i].duty, allocs: []residualAlloc{allocs[i]}}
 		item.computeOcc()
-		bestIdx := -1
-		var best *resNode
-		for ni, n := range nodes {
-			merged, ok := mergeNodes(n, item, cfg)
-			if ok && (best == nil || merged.occ > best.occ) {
-				best, bestIdx = merged, ni
-			}
-		}
-		if best != nil {
-			nodes[bestIdx] = best
-		} else {
+		if !placeBestFit(item, nodes, cfg) {
 			nodes = append(nodes, item)
 		}
 	}
@@ -266,42 +259,137 @@ func (n *resNode) toPlan() GPUPlan {
 	return g
 }
 
-// mergeNodes attempts to combine two nodes into one duty cycle (Figure 7):
-// the new duty cycle is the smaller of the two, every session's batch size
-// is recomputed as ceil(duty*rate) (which only shrinks batches, so SLOs
-// are preserved), and the merge succeeds if the batch executions fit within
-// the new duty cycle and memory capacity permits.
-func mergeNodes(a, b *resNode, cfg Config) (*resNode, bool) {
-	duty := a.duty
-	if b.duty < duty {
-		duty = b.duty
-	}
-	merged := &resNode{duty: duty}
+// The residual-node kernel. Merging residual loads (Figure 7) is one rule:
+// the merged duty cycle is the smallest of the parts', every batch becomes
+// ceil(duty*rate) (which only shrinks batches, so SLOs are preserved), and
+// the merge must fit every session's SLO, the duty cycle and the memory.
+// fit checks the rule without allocating; merge builds the node only for
+// the winning candidate; bestFit and drain are the two ways the packers
+// apply it.
+
+// mergedBatch is the batch a residual load of the given rate runs at in a
+// duty cycle of length duty.
+func mergedBatch(duty time.Duration, rate float64) int {
+	return max(1, int(math.Ceil(duty.Seconds()*rate-1e-12)))
+}
+
+// fit reports whether allocations a and b fit one duty cycle of length
+// duty, and the merged node's occupancy when they do.
+func fit(duty time.Duration, a, b []residualAlloc, cfg Config) (occ float64, ok bool) {
 	var busy time.Duration
-	for _, src := range [][]residualAlloc{a.allocs, b.allocs} {
-		for _, al := range src {
-			nb := int(math.Ceil(duty.Seconds()*al.session.Rate - 1e-12))
-			if nb < 1 {
-				nb = 1
-			}
+	var mem int64
+	for _, src := range [2][]residualAlloc{a, b} {
+		for i := range src {
+			al := &src[i]
+			nb := mergedBatch(duty, al.session.Rate)
 			if nb > al.profile.MaxBatch {
-				return nil, false
+				return 0, false
 			}
 			lat := al.profile.BatchLatency(nb)
 			if duty+lat > al.session.SLO {
-				return nil, false
+				return 0, false
 			}
 			busy += lat
-			al.batch = nb
-			merged.allocs = append(merged.allocs, al)
+			mem += al.profile.MemBase + int64(nb)*al.profile.MemPerItem
 		}
 	}
 	if busy > duty {
-		return nil, false
+		return 0, false
 	}
-	if cfg.GPUMemBytes > 0 && merged.memBytes() > cfg.GPUMemBytes {
-		return nil, false
+	if cfg.GPUMemBytes > 0 && mem > cfg.GPUMemBytes {
+		return 0, false
 	}
-	merged.computeOcc()
-	return merged, true
+	return float64(busy) / float64(duty), true
+}
+
+// merge makes n the node fit accepted: duty cycle duty, allocations a then
+// b at their merged batches, occupancy occ. It builds a fresh allocation
+// slice, so a saved copy of n stays intact for rollback.
+func (n *resNode) merge(duty time.Duration, a, b []residualAlloc, occ float64) {
+	allocs := make([]residualAlloc, 0, len(a)+len(b))
+	for _, src := range [2][]residualAlloc{a, b} {
+		for _, al := range src {
+			al.batch = mergedBatch(duty, al.session.Rate)
+			allocs = append(allocs, al)
+		}
+	}
+	n.duty, n.allocs, n.occ = duty, allocs, occ
+}
+
+// bestFit returns the index of the node that item merges into at the
+// highest occupancy (Algorithm 1, line 19) and that occupancy, or -1 when
+// item fits no node. Nil entries are skipped; ties go to the first node.
+func bestFit(item *resNode, nodes []*resNode, cfg Config) (int, float64) {
+	best, bestOcc := -1, 0.0
+	for i, n := range nodes {
+		if n == nil {
+			continue
+		}
+		occ, ok := fit(min(n.duty, item.duty), n.allocs, item.allocs, cfg)
+		if ok && (best < 0 || occ > bestOcc) {
+			best, bestOcc = i, occ
+		}
+	}
+	return best, bestOcc
+}
+
+// placeBestFit merges item into its best-fit node in place. It reports
+// whether any node took it.
+func placeBestFit(item *resNode, nodes []*resNode, cfg Config) bool {
+	i, occ := bestFit(item, nodes, cfg)
+	if i < 0 {
+		return false
+	}
+	n := nodes[i]
+	n.merge(min(n.duty, item.duty), n.allocs, item.allocs, occ)
+	return true
+}
+
+// drain moves every allocation of n, best-fit, into the other nodes (nil
+// entries and n itself must not be candidates) and returns each
+// allocation's destination index. With margin > 1 the moves must first
+// also fit with every rate scaled by margin. On failure every node is left
+// exactly as it was.
+func drain(n *resNode, nodes []*resNode, margin float64, cfg Config) ([]int, bool) {
+	type saved struct {
+		node *resNode
+		was  resNode
+	}
+	var undo []saved
+	restore := func() {
+		for i := len(undo) - 1; i >= 0; i-- {
+			*undo[i].node = undo[i].was
+		}
+		undo = undo[:0]
+	}
+	place := func(a residualAlloc) int {
+		item := &resNode{duty: a.duty, allocs: []residualAlloc{a}}
+		i, occ := bestFit(item, nodes, cfg)
+		if i >= 0 {
+			to := nodes[i]
+			undo = append(undo, saved{to, *to})
+			to.merge(min(to.duty, item.duty), to.allocs, item.allocs, occ)
+		}
+		return i
+	}
+	if margin != 1 {
+		for _, a := range n.allocs {
+			a.session.Rate *= margin
+			if place(a) < 0 {
+				restore()
+				return nil, false
+			}
+		}
+		restore()
+	}
+	dests := make([]int, 0, len(n.allocs))
+	for _, a := range n.allocs {
+		i := place(a)
+		if i < 0 {
+			restore()
+			return nil, false
+		}
+		dests = append(dests, i)
+	}
+	return dests, true
 }
