@@ -2,6 +2,7 @@ package backend
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"nexus/internal/gpusim"
@@ -119,8 +120,74 @@ type Backend struct {
 	// runPool recycles batchRun state (and its bound callbacks) across
 	// batches; the data plane allocates nothing per batch at steady state.
 	runPool []*batchRun
-	// memberCnt is gpuTime's per-session scratch, reused across batches.
-	memberCnt map[string]int
+	// members is gpuTime's per-session scratch, reused across batches.
+	members memberCounts
+}
+
+// memberCounts counts a prefix-group batch's requests per session without
+// clearing or iterating a map per batch: slot maps every session seen to a
+// dense index into count, and touched lists the slots the current batch
+// incremented. Every count is zero between batches. Configure pre-sizes it
+// from the units' Members; Reset forgets the sessions and keeps the
+// capacity.
+type memberCounts struct {
+	slot    map[string]int
+	count   []int
+	touched []int
+}
+
+// reserve gives every member of every prefix group in units a slot, sized
+// so the batches that follow do not grow the scratch.
+func (m *memberCounts) reserve(units []Unit) {
+	fresh := 0
+	for _, u := range units {
+		if u.Prefix != nil && u.Suffix != nil {
+			for _, s := range u.Members {
+				if _, ok := m.slot[s]; !ok {
+					fresh++
+				}
+			}
+		}
+	}
+	if fresh == 0 {
+		return
+	}
+	if m.slot == nil {
+		m.slot = make(map[string]int, fresh)
+	}
+	m.count = slices.Grow(m.count, fresh)
+	for _, u := range units {
+		if u.Prefix != nil && u.Suffix != nil {
+			for _, s := range u.Members {
+				m.slotOf(s)
+			}
+		}
+	}
+	if cap(m.touched) < cap(m.count) {
+		m.touched = make([]int, 0, cap(m.count))
+	}
+}
+
+// slotOf returns the session's dense slot, adding one on first sight. A
+// session outside every group's Members (a stale request after a regroup)
+// gets its own slot and so counts as a distinct member.
+func (m *memberCounts) slotOf(session string) int {
+	i, ok := m.slot[session]
+	if !ok {
+		if m.slot == nil {
+			m.slot = make(map[string]int)
+		}
+		i = len(m.count)
+		m.slot[session] = i
+		m.count = append(m.count, 0)
+	}
+	return i
+}
+
+// reset forgets every session, keeping the allocated capacity.
+func (m *memberCounts) reset() {
+	clear(m.slot)
+	m.count = m.count[:0]
 }
 
 type unitState struct {
@@ -230,6 +297,9 @@ func (b *Backend) Configure(units []Unit) error {
 	}
 	newSet := make(map[string]bool, len(units))
 	for _, u := range units {
+		if newSet[u.ID] {
+			return fmt.Errorf("backend %s: duplicate unit %s", b.ID, u.ID)
+		}
 		if u.Profile == nil {
 			return fmt.Errorf("backend %s: unit %s has no profile", b.ID, u.ID)
 		}
@@ -256,6 +326,7 @@ func (b *Backend) Configure(units []Unit) error {
 		delete(b.byID, u.ID)
 	}
 	b.units = kept
+	b.members.reserve(units)
 	for _, nu := range units {
 		if existing, ok := b.byID[nu.ID]; ok {
 			// A changed slice fraction swaps partitions: the old one drains
@@ -440,6 +511,7 @@ func (b *Backend) Reset() {
 	b.rrIdx = 0
 	b.lastGPUEnd = 0
 	b.batches, b.items = 0, 0
+	b.members.reset()
 }
 
 // StartHeartbeat begins emitting liveness beats every period on the
@@ -653,18 +725,20 @@ func (b *Backend) gpuTime(u *unitState, batch []Request) time.Duration {
 	if u.Prefix == nil || u.Suffix == nil {
 		return u.Profile.BatchLatency(n)
 	}
-	if b.memberCnt == nil {
-		b.memberCnt = make(map[string]int, 8)
-	}
-	perMember := b.memberCnt
-	clear(perMember)
+	m := &b.members
 	for _, r := range batch {
-		perMember[r.Session]++
+		i := m.slotOf(r.Session)
+		if m.count[i] == 0 {
+			m.touched = append(m.touched, i)
+		}
+		m.count[i]++
 	}
 	total := u.Prefix.BatchLatency(n)
-	for _, count := range perMember {
-		total += u.Suffix.BatchLatency(count)
+	for _, i := range m.touched {
+		total += u.Suffix.BatchLatency(m.count[i])
+		m.count[i] = 0
 	}
+	m.touched = m.touched[:0]
 	// Never exceed the conservative combined estimate the scheduler and
 	// drop policies used.
 	if est := u.Profile.BatchLatency(n); total > est {

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -31,42 +32,7 @@ func BenchmarkDispatchHotPath(b *testing.B) {
 	}
 	clock.RunUntil(2 * time.Second) // model load
 
-	// Precompute the wave: the same one second of arrivals the original
-	// per-iteration form generated live (seed 7, Uniform rate 2000).
-	rng := rand.New(rand.NewSource(7))
-	proc := workload.Uniform{Rate: 2000}
-	var offsets []time.Duration
-	for t := proc.Interarrival(0, rng); t < time.Second; t += proc.Interarrival(t, rng) {
-		offsets = append(offsets, t)
-	}
-
-	// Self-rescheduling arrival pump: one pending timer walks the offset
-	// schedule, so replaying a wave keeps exactly one generator event live
-	// and reuses the closure across iterations.
-	const slo = 100 * time.Millisecond
-	var (
-		start time.Duration
-		idx   int
-		id    uint64
-		pump  func()
-	)
-	pump = func() {
-		now := clock.Now()
-		if err := be.Enqueue("u", Request{ID: id, Session: "s", Arrival: now, Deadline: now + slo}); err != nil {
-			b.Fatal(err)
-		}
-		id++
-		idx++
-		if idx < len(offsets) {
-			clock.At(start+offsets[idx], pump)
-		}
-	}
-	wave := func() {
-		idx = 0
-		start = clock.Now()
-		clock.At(start+offsets[0], pump)
-		clock.Run()
-	}
+	wave := newWave(b, clock, be, "u", []string{"s"}, 2000)
 	// Warm every pool (event free list, wheel buckets, batch and run
 	// arenas) so the timed region measures steady state.
 	wave()
@@ -123,37 +89,7 @@ func BenchmarkDispatchHotPathTraced(b *testing.B) {
 	}
 	clock.RunUntil(2 * time.Second) // model load
 
-	rng := rand.New(rand.NewSource(7))
-	proc := workload.Uniform{Rate: 2000}
-	var offsets []time.Duration
-	for t := proc.Interarrival(0, rng); t < time.Second; t += proc.Interarrival(t, rng) {
-		offsets = append(offsets, t)
-	}
-
-	const slo = 100 * time.Millisecond
-	var (
-		start time.Duration
-		idx   int
-		id    uint64
-		pump  func()
-	)
-	pump = func() {
-		now := clock.Now()
-		if err := be.Enqueue("u", Request{ID: id, Session: "s", Arrival: now, Deadline: now + slo}); err != nil {
-			b.Fatal(err)
-		}
-		id++
-		idx++
-		if idx < len(offsets) {
-			clock.At(start+offsets[idx], pump)
-		}
-	}
-	wave := func() {
-		idx = 0
-		start = clock.Now()
-		clock.At(start+offsets[0], pump)
-		clock.Run()
-	}
+	wave := newWave(b, clock, be, "u", []string{"s"}, 2000)
 	wave()
 	wave()
 
@@ -168,5 +104,102 @@ func BenchmarkDispatchHotPathTraced(b *testing.B) {
 	}
 	if tr.Total() == 0 {
 		b.Fatal("no events traced")
+	}
+}
+
+// BenchmarkPrefixGroupHotPath replays the dispatch wave against one
+// 20-member prefix group (§6.3) whose profiles memoize 1024 batch sizes, so
+// it sees the per-batch costs BenchmarkDispatchHotPath's plain unit cannot:
+// recycling a batch slice primed to the profile's maximum batch, and
+// counting the members present to charge one suffix launch each. Both must
+// scale with the executed batch, not the maximum, and allocate nothing once
+// warm.
+func BenchmarkPrefixGroupHotPath(b *testing.B) {
+	clock := simclock.New()
+	dev := gpusim.New(clock, "gpu0", profiler.GTX1080Ti, gpusim.Exclusive)
+	served := 0
+	be := New("b0", clock, dev, Config{Overlap: true, Discipline: RoundRobin},
+		func(req Request, outcome Outcome, at time.Duration) { served++ })
+	const members = 20
+	base := &profiler.Profile{
+		ModelID: "m", GPU: profiler.GTX1080Ti,
+		Alpha: 50 * time.Microsecond, Beta: time.Millisecond,
+		MaxBatch: 1024, PreprocCPU: 100 * time.Microsecond, PostprocCPU: 20 * time.Microsecond,
+		MemBase: 1 << 28, MemPerItem: 1 << 20,
+	}
+	comb, err := profiler.CombinedProfile(base, 0.1, members)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if comb.MemoBatches() < 1024 {
+		b.Fatalf("combined profile memoizes %d batch sizes, want >= 1024", comb.MemoBatches())
+	}
+	pre, suf := base.Split(0.9)
+	sessions := make([]string, members)
+	for i := range sessions {
+		sessions[i] = fmt.Sprintf("m%d", i)
+	}
+	if err := be.Configure([]Unit{{ID: "g", Profile: comb, TargetBatch: 32,
+		Members: sessions, Prefix: &pre, Suffix: &suf}}); err != nil {
+		b.Fatal(err)
+	}
+	clock.RunUntil(2 * time.Second) // model load
+
+	wave := newWave(b, clock, be, "g", sessions, 8000)
+	wave()
+	wave()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wave()
+	}
+	b.StopTimer()
+	if served == 0 {
+		b.Fatal("no requests served")
+	}
+}
+
+// newWave precomputes one second of Uniform arrivals at rate (seed 7), each
+// from a session drawn from sessions, and returns a function that replays
+// that second into unitID and runs the clock dry. A self-rescheduling pump
+// walks the schedule, so a replay keeps exactly one generator event live
+// and reuses the closure across iterations.
+func newWave(b *testing.B, clock *simclock.Clock, be *Backend, unitID string, sessions []string, rate float64) func() {
+	rng := rand.New(rand.NewSource(7))
+	pick := rand.New(rand.NewSource(11))
+	proc := workload.Uniform{Rate: rate}
+	var (
+		offsets []time.Duration
+		sess    []string
+	)
+	for t := proc.Interarrival(0, rng); t < time.Second; t += proc.Interarrival(t, rng) {
+		offsets = append(offsets, t)
+		sess = append(sess, sessions[pick.Intn(len(sessions))])
+	}
+
+	const slo = 100 * time.Millisecond
+	var (
+		start time.Duration
+		idx   int
+		id    uint64
+		pump  func()
+	)
+	pump = func() {
+		now := clock.Now()
+		if err := be.Enqueue(unitID, Request{ID: id, Session: sess[idx], Arrival: now, Deadline: now + slo}); err != nil {
+			b.Fatal(err)
+		}
+		id++
+		idx++
+		if idx < len(offsets) {
+			clock.At(start+offsets[idx], pump)
+		}
+	}
+	return func() {
+		idx = 0
+		start = clock.Now()
+		clock.At(start+offsets[0], pump)
+		clock.Run()
 	}
 }

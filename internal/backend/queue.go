@@ -22,6 +22,12 @@ type Request = workload.Request
 // request, and once the ring and the batch free list have grown to the
 // workload's steady state, the dispatch loop runs without allocating.
 // Vacated slots are zeroed so popped requests do not pin their payloads.
+//
+// Invariant: every slice on the batch free list is zero over its full
+// capacity. Fresh and primed slices start zeroed, PopN writes only the
+// first n slots of the slice it hands out, and Recycle zeroes exactly those
+// slots, so the cost of recycling a batch scales with the batch, not with
+// the profile's maximum batch.
 type Queue struct {
 	buf  []Request // ring storage; len(buf) is a power of two (or 0)
 	head int       // index of the oldest request
@@ -133,18 +139,18 @@ func (q *Queue) batchSlice(n int) []Request {
 	return make([]Request, n)
 }
 
-// Recycle returns a batch slice obtained from PopN to the queue's free
-// list once every request in it has completed. The slice must not be used
-// after the call. Recycling foreign slices is allowed (they join the pool);
+// Recycle returns a batch slice to the queue's free list once every
+// request in it has completed. The batch must be exactly as some Queue's
+// PopN returned it (not re-sliced or appended to); it may come from another
+// Queue, as when a deferred batch is recycled into its unit's main queue.
+// Only batch[:len] is cleared, which keeps the free-list invariant because
+// nothing beyond it was written. The slice must not be used after the call;
 // nil and zero-capacity slices are ignored.
 func (q *Queue) Recycle(batch []Request) {
 	if cap(batch) == 0 || len(q.free) >= maxFreeBatches {
 		return
 	}
-	batch = batch[:cap(batch)]
-	for i := range batch {
-		batch[i] = Request{} // release request payloads held by the batch
-	}
+	clear(batch) // release request payloads held by the batch
 	q.free = append(q.free, batch[:0])
 }
 
