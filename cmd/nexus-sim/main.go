@@ -47,8 +47,7 @@ func main() {
 	telemListen := flag.String("telemetry-listen", "", "serve /metrics (Prometheus text), /alerts, /health on this address (implies -telemetry)")
 	telemHold := flag.Duration("telemetry-hold", 0, "keep the telemetry endpoint up this long after the run finishes")
 	wallTimings := flag.Bool("telemetry-wall", false, "measure real plan wall time (nondeterministic; needs -telemetry)")
-	shards := flag.Int("shards", 0, "partition epoch planning across N parallel shards (0 and 1 both plan as one shard)")
-	planHyst := flag.Float64("plan-hysteresis", 0, "relative rate band within which a quiet shard skips re-planning (0 = re-plan every epoch)")
+	planHyst := flag.Float64("plan-hysteresis", 0, "relative rate band within which a quiet epoch skips re-planning (0 = re-plan every epoch)")
 	deltaRouting := flag.Bool("delta-routing", false, "push routing-table updates to frontends as per-session deltas")
 	leaseTTL := flag.Duration("lease-ttl", 0, "routing-table lease TTL on each frontend (0 = no leases)")
 	serveStale := flag.Bool("serve-stale", false, "keep routing on an expired lease instead of dropping (needs -lease-ttl)")
@@ -122,7 +121,6 @@ func main() {
 		Audit:          *auditOn,
 		DeferDropped:   *deferDrops,
 		Telemetry:      telemCfg,
-		PlannerShards:  *shards,
 		PlanHysteresis: *planHyst,
 		DeltaRouting:   *deltaRouting,
 		Forensics:      forensicsCfg,

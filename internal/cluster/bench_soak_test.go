@@ -15,13 +15,13 @@ import (
 )
 
 // Soak geometry: one million sessions placed across a 64-node cluster,
-// installed through sharded control-plane delta pushes and then driven one
-// request each through the dispatch path.
+// installed through partitioned delta pushes and then driven one request
+// each through the dispatch path.
 const (
 	soakSessions = 1 << 20
 	soakBackends = 64
 	soakUnits    = 16 // execution units per backend; sessions share them
-	soakPlanners = 8  // parallel delta-building control-plane shards
+	soakPlanners = 8  // session partitions whose deltas are built in parallel
 	soakWave     = 1 << 16
 )
 
@@ -47,14 +47,14 @@ func soakRoute(i int) (be, unit int) {
 // BenchmarkSoakMillionSession soaks the full dispatch plane at
 // control-plane scale. Each iteration builds a fresh 64-backend cluster,
 // installs 2^20 sessions through generation-tracked TableDeltas — one
-// shard per parallel planner, pushed in sequence like a sharded control
-// plane's epoch output — and then routes one request per session through
-// Dispatch in waves, draining the simulation clock between waves. Every request must complete (served or
+// session partition per parallel builder, pushed in sequence — and then
+// routes one request per session through Dispatch in waves, draining the
+// simulation clock between waves. Every request must complete (served or
 // policy-dropped); anything lost fails the benchmark.
 func BenchmarkSoakMillionSession(b *testing.B) {
 	prof := soakProfile()
 
-	// Session names and per-shard deltas reference the same route layout;
+	// Session names and per-partition deltas reference the same route layout;
 	// names are hoisted out of the timed region (string formatting is not
 	// the system under test).
 	names := make([]string, soakSessions)
@@ -86,8 +86,8 @@ func BenchmarkSoakMillionSession(b *testing.B) {
 		fe := frontend.New(clock, backends, 500*time.Microsecond, nil)
 		clock.RunUntil(30 * time.Second) // model loads
 
-		// Control plane: planners build their session shards in parallel,
-		// then push them as one generation-tracked delta each.
+		// Control plane: builders assemble their session partitions in
+		// parallel, then push them as one generation-tracked delta each.
 		deltas := make([]frontend.TableDelta, soakPlanners)
 		var wg sync.WaitGroup
 		for p := 0; p < soakPlanners; p++ {

@@ -116,12 +116,9 @@ type Config struct {
 	// OnFailure, when set, observes every backend declared dead by the
 	// control plane.
 	OnFailure func(backendID string, at time.Duration)
-	// PlannerShards partitions epoch planning across this many concurrent
-	// planner shards; 0 and 1 both plan as one shard. Negative is rejected.
-	PlannerShards int
-	// PlanHysteresis is the relative rate band within which a planner shard
-	// skips re-packing and carries its plan forward (0 disables skipping;
-	// negative, NaN and infinite bands are rejected).
+	// PlanHysteresis is the relative rate band within which an epoch skips
+	// re-planning and carries the applied plan forward (0 disables
+	// skipping; negative, NaN and infinite bands are rejected).
 	PlanHysteresis float64
 	// DeltaRouting pushes routing-table updates to frontends as per-session
 	// deltas with generation checks instead of full-table replacements.
@@ -294,9 +291,6 @@ type queryInstance struct {
 func New(cfg Config) (*Deployment, error) {
 	if cfg.GPUs < 1 {
 		return nil, fmt.Errorf("cluster: need at least 1 GPU")
-	}
-	if cfg.PlannerShards < 0 {
-		return nil, fmt.Errorf("cluster: negative PlannerShards %d", cfg.PlannerShards)
 	}
 	if h := cfg.PlanHysteresis; h < 0 || math.IsNaN(h) || math.IsInf(h, 0) {
 		return nil, fmt.Errorf("cluster: PlanHysteresis %v is not a finite band >= 0", h)
@@ -624,7 +618,6 @@ func (d *Deployment) controlConfig() globalsched.Config {
 		cfg.ObliviousGPUs = d.cfg.GPUs
 	}
 	// Control-plane scaling knobs are orthogonal to the system kind.
-	cfg.Shards = d.cfg.PlannerShards
 	cfg.PlanHysteresis = d.cfg.PlanHysteresis
 	cfg.DeltaRouting = d.cfg.DeltaRouting
 	cfg.RecoveryMaxRouteChanges = d.cfg.RecoveryMaxRouteChanges

@@ -19,7 +19,6 @@ func TestNewValidation(t *testing.T) {
 		cfg  Config
 	}{
 		{"zero GPUs", Config{GPUs: 0}},
-		{"negative shards", Config{GPUs: 4, PlannerShards: -1}},
 		{"negative hysteresis", Config{GPUs: 4, PlanHysteresis: -0.05}},
 		{"NaN hysteresis", Config{GPUs: 4, PlanHysteresis: math.NaN()}},
 		{"+Inf hysteresis", Config{GPUs: 4, PlanHysteresis: math.Inf(1)}},

@@ -225,16 +225,10 @@ func (ts *telemetrySampler) sample() {
 	reg.Gauge("sched_plan_wall_ms").Set(telemetry.MS(d.Sched.LastPlanWall()))
 	reg.Counter("cluster_unroutable_total").Set(float64(d.unroutable))
 
-	// Shard-planner and delta-routing counters, only when the features are
-	// on: a one-shard full-table deployment keeps its exact golden key set.
-	if d.Sched.ReportsShards() {
-		replanned, skipped, crossMoves := d.Sched.ShardTotals()
-		reg.Counter("sched_shards_replanned_total").Set(float64(replanned))
-		reg.Counter("sched_shards_skipped_total").Set(float64(skipped))
-		reg.Counter("sched_cross_shard_moves_total").Set(float64(crossMoves))
-		for k, wall := range d.Sched.LastShardStats().ShardWall {
-			reg.Gauge("sched_shard_plan_wall_ms", "shard", strconv.Itoa(k)).Set(telemetry.MS(wall))
-		}
+	// Plan-hysteresis and delta-routing counters, only when the features
+	// are on: a default deployment keeps its exact golden key set.
+	if d.cfg.PlanHysteresis > 0 {
+		reg.Counter("sched_plans_skipped_total").Set(float64(d.Sched.PlansSkipped()))
 	}
 	if d.cfg.DeltaRouting {
 		deltas, fulls, sessions := d.Sched.RoutePushStats()

@@ -112,16 +112,13 @@ type Config struct {
 	// default: wall time is nondeterministic, and determinism tests require
 	// identical telemetry streams across runs.
 	PlanWallClock bool
-	// Shards partitions squishy planning deterministically across this
-	// many concurrent planners, with a cross-shard rebalance step. Values
-	// <= 1 plan as one shard. Every epoch re-plans incrementally against
-	// the last applied plan (temporal placement only; spatial and hybrid
-	// placements re-pack from scratch).
-	Shards int
-	// PlanHysteresis is the relative rate band within which a shard skips
-	// re-packing and carries its plan forward (0 disables skipping). This
-	// is the splitHysteresis idiom applied to arrival rates: small workload
-	// noise must not re-pack the cluster.
+	// PlanHysteresis is the relative rate band within which a squishy
+	// epoch skips re-planning and carries the applied plan forward (0
+	// disables skipping). This is the splitHysteresis idiom applied to
+	// arrival rates: small workload noise must not re-pack the cluster.
+	// Epochs that do re-plan do so incrementally against the last applied
+	// plan (temporal placement only; spatial and hybrid placements re-pack
+	// from scratch).
 	PlanHysteresis float64
 	// DeltaRouting pushes routing updates to frontends as per-session
 	// deltas instead of full SetTable replacements. Frontends verify a
@@ -179,7 +176,7 @@ type Scheduler struct {
 	prevSplit map[string]*queryopt.Split
 	// adjBase caches the planning (CPU-adjusted) view of base profiles.
 	adjBase map[string]*profiler.Profile
-	// totalMoved accumulates SessionsMoved across incremental epochs.
+	// totalMoved accumulates SessionsMoved across applied epochs.
 	totalMoved int
 	// lastDemand is the GPU count the last plan asked for before any
 	// capacity-driven rate scaling (what the workload wanted, not what the
@@ -192,13 +189,11 @@ type Scheduler struct {
 	// was computed for (stability guard).
 	lastPlannedRates map[string]float64
 
-	// Squishy-planner state: the shard planner and its accepted pass.
-	shardPlanner   *scheduler.ShardPlanner
-	lastShardStats scheduler.ShardStats
-	// Cumulative shard counters for telemetry.
-	shardsReplanned int
-	shardsSkipped   int
-	crossShardMoves int
+	// Squishy-planner state: the planner, whether the last applied epoch
+	// carried its plan forward on hysteresis, and how many epochs did.
+	planner      scheduler.Planner
+	lastSkipped  bool
+	plansSkipped int
 
 	// Delta-routing state (Config.DeltaRouting): the generation and table
 	// of the last successful publish, plus push counters for telemetry.
@@ -262,14 +257,13 @@ func New(clock *simclock.Clock, pool Pool, frontends []*frontend.Frontend,
 	return &Scheduler{
 		clock: clock, pool: pool, frontends: frontends,
 		modelDB: modelDB, profiles: profiles, cfg: cfg,
-		shardPlanner: scheduler.NewShardPlanner(cfg.Shards),
-		rates:        make(map[string]float64),
-		nodeBackend:  make(map[string][]string),
-		gammaEst:     make(map[string]float64),
-		prevSplit:    make(map[string]*queryopt.Split),
-		lastBeat:     make(map[string]time.Duration),
-		cutCtrl:      make(map[string]bool),
-		lastInc:      make(map[string]uint64),
+		rates:       make(map[string]float64),
+		nodeBackend: make(map[string][]string),
+		gammaEst:    make(map[string]float64),
+		prevSplit:   make(map[string]*queryopt.Split),
+		lastBeat:    make(map[string]time.Duration),
+		cutCtrl:     make(map[string]bool),
+		lastInc:     make(map[string]uint64),
 	}
 }
 
@@ -524,7 +518,7 @@ func (s *Scheduler) RunEpoch() error {
 		wallStart = time.Now()
 	}
 	s.epochs++
-	s.lastStats = scheduler.MoveStats{}
+	s.lastStats, s.lastSkipped = scheduler.MoveStats{}, false
 	// Shed replicas that died since the last epoch before planning, so the
 	// packer sees the shrunken grantable capacity and the assignment loops
 	// below replace the dead nodes.
@@ -542,11 +536,16 @@ func (s *Scheduler) RunEpoch() error {
 		return err
 	}
 	s.prevPlan = plan
+	// Only an applied plan becomes the next epoch's baseline: after a
+	// failed apply the planner must keep planning against what is actually
+	// deployed, and the cumulative counters must not count it.
+	s.totalMoved += s.lastStats.SessionsMoved
 	if pass != nil {
-		// Only an applied plan becomes the next epoch's baseline: after a
-		// failed apply the planner must keep planning against what is
-		// actually deployed.
-		s.shardPlanner.Commit(pass)
+		s.planner.Commit(pass)
+		if pass.Skipped {
+			s.lastSkipped = true
+			s.plansSkipped++
+		}
 	}
 	if s.cfg.PlanWallClock {
 		s.lastPlanWall = time.Since(wallStart)
@@ -576,7 +575,6 @@ func (s *Scheduler) auditEpoch(plan *scheduler.Plan) {
 			DutyMS:    trace.MS(g.Duty),
 			Saturated: g.Saturated,
 			Spatial:   g.Spatial,
-			Shard:     shardTag(g.ID),
 		}
 		if occ, err := g.Occupancy(profiles); err == nil {
 			rec.Occupancy = occ
@@ -616,11 +614,7 @@ func (s *Scheduler) Explain() telemetry.HealthReport {
 		GPUsCapacity:  s.pool.Capacity(),
 		SessionsMoved: s.lastStats.SessionsMoved,
 		PlanWallMS:    telemetry.MS(s.lastPlanWall),
-	}
-	if s.ReportsShards() {
-		rep.ShardsReplanned = s.lastShardStats.Replanned
-		rep.ShardsSkipped = s.lastShardStats.Skipped
-		rep.CrossShardMoves = s.lastShardStats.CrossShardMoves
+		PlanSkipped:   s.lastSkipped,
 	}
 	if s.prevPlan == nil {
 		return rep
@@ -645,7 +639,6 @@ func (s *Scheduler) Explain() telemetry.HealthReport {
 				Session: a.SessionID, Node: g.ID, Replicas: replicas,
 				Batch: a.Batch, Rate: a.Rate, DutyMS: telemetry.MS(g.Duty),
 				Occupancy: occ, Headroom: 1 - occ, Reason: reason,
-				Shard: shardTag(g.ID),
 			})
 		}
 	}
@@ -1034,9 +1027,9 @@ func (s *Scheduler) planProfiles() map[string]*profiler.Profile {
 }
 
 // plan runs the packing algorithm selected by the config. A squishy plan
-// comes with the shard-planner pass that produced it, which RunEpoch commits
-// once the plan is applied; batch-oblivious plans return a nil pass.
-func (s *Scheduler) plan(sessions []scheduler.Session) (*scheduler.Plan, *scheduler.ShardResult, error) {
+// comes with the planner pass that produced it, which RunEpoch commits once
+// the plan is applied; batch-oblivious plans return a nil pass.
+func (s *Scheduler) plan(sessions []scheduler.Session) (*scheduler.Plan, *scheduler.PlanResult, error) {
 	profiles := s.planProfiles()
 	if !s.cfg.Squishy {
 		if s.cfg.ObliviousGPUs < 1 {
@@ -1066,32 +1059,26 @@ func (s *Scheduler) plan(sessions []scheduler.Session) (*scheduler.Plan, *schedu
 	// Admission control at planning time: when demand exceeds the pool,
 	// provision for the largest rate fraction that fits and let the
 	// runtime's drop policy shed the excess (§5 "Nexus relies on admission
-	// control that drops excessive requests"). Re-iterations force every
-	// shard dirty, since globally scaled rates must reach shards the
-	// hysteresis band would otherwise skip.
+	// control that drops excessive requests"). Re-iterations force a
+	// re-plan, since globally scaled rates must reach the plan the
+	// hysteresis band would otherwise carry forward.
 	capacity := s.pool.Capacity()
 	scaled := sessions
 	for iter := 0; ; iter++ {
-		res, err := s.shardPlanner.Plan(scaled, profiles, s.cfg.Sched, scheduler.ShardOpts{
+		res, err := s.planner.Plan(scaled, profiles, s.cfg.Sched, scheduler.PlanOpts{
 			Hysteresis: s.cfg.PlanHysteresis,
 			Force:      iter > 0,
-			WallClock:  s.cfg.PlanWallClock,
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		s.lastStats = res.Stats.MoveStats
-		s.totalMoved += res.Stats.SessionsMoved
+		s.lastStats = res.Stats
 		if iter == 0 {
 			// Demand is what the unscaled workload asked for, recorded
 			// before admission control shrinks rates to fit the pool.
 			s.lastDemand = res.Plan.GPUCount()
 		}
 		if capacity <= 0 || res.Plan.GPUCount() <= capacity {
-			s.lastShardStats = res.Stats
-			s.shardsReplanned += res.Stats.Replanned
-			s.shardsSkipped += res.Stats.Skipped
-			s.crossShardMoves += res.Stats.CrossShardMoves
 			return res.Plan, res, nil
 		}
 		if iter >= 20 {
@@ -1107,24 +1094,9 @@ func (s *Scheduler) plan(sessions []scheduler.Session) (*scheduler.Plan, *schedu
 	}
 }
 
-// ReportsShards reports whether shard counters carry signal: with several
-// shards, or with a hysteresis band that lets a shard skip re-planning.
-// Health reports and telemetry export them only then, so a default
-// one-shard deployment keeps its exact key set.
-func (s *Scheduler) ReportsShards() bool {
-	return s.cfg.Shards > 1 || s.cfg.PlanHysteresis > 0
-}
-
-// LastShardStats returns the accepted shard-planner pass of the latest
-// squishy epoch.
-func (s *Scheduler) LastShardStats() scheduler.ShardStats { return s.lastShardStats }
-
-// ShardTotals returns cumulative shard-planner counters: shards replanned,
-// shards skipped by the hysteresis band, and sessions migrated across
-// shards by the rebalance step.
-func (s *Scheduler) ShardTotals() (replanned, skipped, crossMoves int) {
-	return s.shardsReplanned, s.shardsSkipped, s.crossShardMoves
-}
+// PlansSkipped returns how many applied epochs carried the plan forward
+// on the PlanHysteresis band instead of re-planning.
+func (s *Scheduler) PlansSkipped() int { return s.plansSkipped }
 
 // RoutePushStats returns cumulative routing-publish counters: delta pushes
 // applied, full-table pushes (initial publishes and generation-mismatch
@@ -1455,17 +1427,6 @@ func (s *Scheduler) replicaCounts(plan *scheduler.Plan) map[string]int {
 		counts[best]++
 	}
 	return counts
-}
-
-// shardTag renders the shard of a merged-plan node ID for audit and health
-// records ("s3/n7" -> "s3"); single-shard node IDs yield "", which JSON
-// omitempty drops, keeping unsharded goldens byte-identical.
-func shardTag(nodeID string) string {
-	k, ok := scheduler.NodeShard(nodeID)
-	if !ok {
-		return ""
-	}
-	return fmt.Sprintf("s%d", k)
 }
 
 // ratesChangedMaterially reports whether any session's rate moved more

@@ -181,13 +181,9 @@ func (s *Scheduler) auditPlanDiff(nowMS float64, recs []trace.PlacementRecord) {
 		Epoch: s.epochs, AtMS: nowMS, Cause: cause,
 		SessionsMoved: s.lastStats.SessionsMoved,
 		Changes:       DiffPlacements(s.lastAudited, recs),
-	}
-	// Shard counts only carry signal under hysteresis (skips cannot happen
-	// without it). Gating them there also keeps a default single-shard
-	// deployment's audit free of shard counts.
-	if s.cfg.PlanHysteresis > 0 {
-		rec.ShardsReplan = s.lastShardStats.Replanned
-		rec.ShardsSkipped = s.lastShardStats.Skipped
+		// Only a PlanHysteresis band can skip a plan, so a default
+		// deployment's audit never carries the flag.
+		PlanSkipped: s.lastSkipped,
 	}
 	s.cfg.Audit.RecordPlanDiff(rec)
 	s.lastAudited = recs

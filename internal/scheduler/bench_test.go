@@ -64,7 +64,7 @@ func BenchmarkPackLargeScale(b *testing.B) {
 // nodes — the scale regime the north star targets. Rates are inflated over
 // benchWorkload's so saturated whole-GPU allocations carry most of the GPU
 // count while the 6k-session residue keeps the merge phase (the quadratic
-// scaling wall sharding attacks) realistic.
+// part of the planner) realistic.
 func bench10kWorkload() ([]Session, map[string]*profiler.Profile) {
 	sessions, profiles := benchWorkload(40, 6000)
 	for i := range sessions {
@@ -73,43 +73,41 @@ func bench10kWorkload() ([]Session, map[string]*profiler.Profile) {
 	return sessions, profiles
 }
 
-// BenchmarkPack10kGPU is the sharded-planner sweep at 10k-GPU scale:
-// shards=1 is the monolithic baseline (the 1-shard planner is byte-identical
-// to Pack), shards=2/4/8 show the parallel-partition speedup, and
-// incremental-nochange measures a hysteresis epoch where no shard re-plans.
+// BenchmarkPack10kGPU measures the epoch planner at 10k-GPU scale: cold
+// is one from-scratch plan (the planner's first plan is Pack's), and
+// incremental-nochange is a hysteresis epoch whose unchanged workload
+// skips re-planning.
 func BenchmarkPack10kGPU(b *testing.B) {
 	sessions, profiles := bench10kWorkload()
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sp := NewShardPlanner(shards)
-				res, err := sp.Plan(sessions, profiles, Config{}, ShardOpts{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Plan.GPUCount() < 9000 {
-					b.Fatalf("plan has %d GPUs, want ~10k", res.Plan.GPUCount())
-				}
-			}
-		})
-	}
-	b.Run("incremental-nochange", func(b *testing.B) {
-		sp := NewShardPlanner(8)
-		opts := ShardOpts{Hysteresis: 0.05}
-		res, err := sp.Plan(sessions, profiles, Config{}, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sp.Commit(res)
+	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := sp.Plan(sessions, profiles, Config{}, opts)
+			var p Planner
+			res, err := p.Plan(sessions, profiles, Config{}, PlanOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res.Stats.Skipped != 8 {
+			if res.Plan.GPUCount() < 9000 {
+				b.Fatalf("plan has %d GPUs, want ~10k", res.Plan.GPUCount())
+			}
+		}
+	})
+	b.Run("incremental-nochange", func(b *testing.B) {
+		var p Planner
+		opts := PlanOpts{Hysteresis: 0.05}
+		res, err := p.Plan(sessions, profiles, Config{}, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Commit(res)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := p.Plan(sessions, profiles, Config{}, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Skipped {
 				b.Fatalf("no-change epoch re-planned: %+v", res.Stats)
 			}
 		}

@@ -206,7 +206,7 @@ func Incremental(prev *Plan, sessions []Session, profiles map[string]*profiler.P
 			continue
 		}
 		cands[i] = nil
-		if _, ok := drain(n, cands, drainGrowthMargin, cfg); ok {
+		if drain(n, cands, cfg) {
 			stats.SessionsMoved += len(n.allocs)
 			stats.NodesRemoved++
 			stats.NodesKept--

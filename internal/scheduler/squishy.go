@@ -346,11 +346,10 @@ func placeBestFit(item *resNode, nodes []*resNode, cfg Config) bool {
 }
 
 // drain moves every allocation of n, best-fit, into the other nodes (nil
-// entries and n itself must not be candidates) and returns each
-// allocation's destination index. With margin > 1 the moves must first
-// also fit with every rate scaled by margin. On failure every node is left
-// exactly as it was.
-func drain(n *resNode, nodes []*resNode, margin float64, cfg Config) ([]int, bool) {
+// entries and n itself must not be candidates). The moves must first also
+// fit with every rate scaled by drainGrowthMargin. On failure every node is
+// left exactly as it was.
+func drain(n *resNode, nodes []*resNode, cfg Config) bool {
 	type saved struct {
 		node *resNode
 		was  resNode
@@ -362,34 +361,30 @@ func drain(n *resNode, nodes []*resNode, margin float64, cfg Config) ([]int, boo
 		}
 		undo = undo[:0]
 	}
-	place := func(a residualAlloc) int {
+	place := func(a residualAlloc) bool {
 		item := &resNode{duty: a.duty, allocs: []residualAlloc{a}}
 		i, occ := bestFit(item, nodes, cfg)
-		if i >= 0 {
-			to := nodes[i]
-			undo = append(undo, saved{to, *to})
-			to.merge(min(to.duty, item.duty), to.allocs, item.allocs, occ)
-		}
-		return i
-	}
-	if margin != 1 {
-		for _, a := range n.allocs {
-			a.session.Rate *= margin
-			if place(a) < 0 {
-				restore()
-				return nil, false
-			}
-		}
-		restore()
-	}
-	dests := make([]int, 0, len(n.allocs))
-	for _, a := range n.allocs {
-		i := place(a)
 		if i < 0 {
-			restore()
-			return nil, false
+			return false
 		}
-		dests = append(dests, i)
+		to := nodes[i]
+		undo = append(undo, saved{to, *to})
+		to.merge(min(to.duty, item.duty), to.allocs, item.allocs, occ)
+		return true
 	}
-	return dests, true
+	for _, a := range n.allocs {
+		a.session.Rate *= drainGrowthMargin
+		if !place(a) {
+			restore()
+			return false
+		}
+	}
+	restore()
+	for _, a := range n.allocs {
+		if !place(a) {
+			restore()
+			return false
+		}
+	}
+	return true
 }

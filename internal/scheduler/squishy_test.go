@@ -170,39 +170,36 @@ func TestFailedDrainRestoresNodes(t *testing.T) {
 	}
 
 	cases := []struct {
-		name   string
-		donor  *resNode
-		margin float64
+		name  string
+		donor *resNode
 	}{
-		{"no home for D", node(alloc(pa, 100), alloc(pd, 10)), 1},
-		{"no home for D with margin", node(alloc(pa, 100), alloc(pd, 10)), drainGrowthMargin},
-		{"C misses only with margin", node(alloc(pa, 100), alloc(pc, 400)), drainGrowthMargin},
+		{"no home for D", node(alloc(pa, 100), alloc(pd, 10))},
+		{"C misses only with margin", node(alloc(pa, 100), alloc(pc, 400))},
 	}
 	for _, c := range cases {
 		nodes := candidates()
 		before := snapshot(nodes)
-		if dests, ok := drain(c.donor, nodes, c.margin, cfg); ok {
-			t.Fatalf("%s: drain succeeded into %v", c.name, dests)
+		if drain(c.donor, nodes, cfg) {
+			t.Fatalf("%s: drain succeeded", c.name)
 		}
 		if after := snapshot(nodes); !reflect.DeepEqual(after, before) {
 			t.Fatalf("%s: failed drain changed candidates:\nbefore %+v\nafter  %+v", c.name, before, after)
 		}
 		// The donor's first allocation alone drains into X, so the failure
 		// above came after a merge that had to be rolled back.
-		first := node(c.donor.allocs[0])
-		if dests, ok := drain(first, candidates(), c.margin, cfg); !ok || !reflect.DeepEqual(dests, []int{0}) {
-			t.Fatalf("%s: first allocation alone drained to %v, ok=%v; want [0]", c.name, dests, ok)
+		nodes = candidates()
+		if !drain(node(c.donor.allocs[0]), nodes, cfg) || len(nodes[0].allocs) != 2 || len(nodes[2].allocs) != 1 {
+			t.Fatalf("%s: first allocation alone did not drain into X: X %+v, Y %+v", c.name, nodes[0], nodes[2])
 		}
 	}
 
-	// Without the margin C fits Y, so the same donor drains and the merges
-	// stay applied.
+	// At 300 r/s C takes 35 ms of Y, and 40 ms at drainGrowthMargin times
+	// its rate, so the same donor shape drains and the merges stay applied.
 	nodes := candidates()
-	dests, ok := drain(node(alloc(pa, 100), alloc(pc, 400)), nodes, 1, cfg)
-	if !ok || !reflect.DeepEqual(dests, []int{0, 2}) {
-		t.Fatalf("margin 1 drain: dests %v ok=%v, want [0 2]", dests, ok)
+	if !drain(node(alloc(pa, 100), alloc(pc, 300)), nodes, cfg) {
+		t.Fatal("drain with room for the margin failed")
 	}
-	if len(nodes[0].allocs) != 2 || len(nodes[2].allocs) != 2 || nodes[2].occ != 1 {
-		t.Fatalf("margin 1 drain did not apply: X %+v, Y %+v", nodes[0], nodes[2])
+	if len(nodes[0].allocs) != 2 || len(nodes[2].allocs) != 2 || nodes[0].occ != 0.8 || nodes[2].occ != 0.9 {
+		t.Fatalf("drain did not apply: X %+v, Y %+v", nodes[0], nodes[2])
 	}
 }

@@ -223,7 +223,7 @@ func TestCollectorHealthStampsFiring(t *testing.T) {
 func TestHealthReportText(t *testing.T) {
 	r := HealthReport{
 		Epoch: 3, AtMS: 30000, GPUsDemanded: 5, GPUsAllocated: 4, GPUsCapacity: 8,
-		SessionsMoved: 1, PlanWallMS: 0.42,
+		SessionsMoved: 1, PlanWallMS: 0.42, PlanSkipped: true,
 		Allocs: []SessionAlloc{{Session: "s", Node: "gpu0", Reason: "100.0 r/s at batch 8"}},
 	}
 	var buf bytes.Buffer
@@ -231,7 +231,8 @@ func TestHealthReportText(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"epoch 3 @ t=30.0s", "4/8 GPUs allocated (demand 5)", "planned in 0.42ms", "100.0 r/s at batch 8"} {
+	for _, want := range []string{"epoch 3 @ t=30.0s", "4/8 GPUs allocated (demand 5)", "planned in 0.42ms",
+		"plan carried forward (hysteresis)", "100.0 r/s at batch 8"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("health text missing %q:\n%s", want, out)
 		}

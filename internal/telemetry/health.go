@@ -19,7 +19,6 @@ type SessionAlloc struct {
 	Occupancy float64 `json:"occupancy"`
 	Headroom  float64 `json:"headroom"`
 	Reason    string  `json:"reason"`
-	Shard     string  `json:"shard,omitempty"`
 }
 
 // HealthReport is the global scheduler's per-epoch "explain" output: where
@@ -34,14 +33,12 @@ type HealthReport struct {
 	GPUsCapacity  int           `json:"gpus_capacity"`
 	SessionsMoved int           `json:"sessions_moved"`
 	PlanWallMS    float64       `json:"plan_wall_ms,omitempty"`
-	// Shard-planner counters; zero and omitted unless the scheduler
-	// reports shards (several shards or a hysteresis band), so unsharded
+	// PlanSkipped marks an epoch whose plan-hysteresis band carried the
+	// previous plan forward; only a hysteresis band sets it, so default
 	// goldens are unchanged.
-	ShardsReplanned int            `json:"shards_replanned,omitempty"`
-	ShardsSkipped   int            `json:"shards_skipped,omitempty"`
-	CrossShardMoves int            `json:"cross_shard_moves,omitempty"`
-	Allocs          []SessionAlloc `json:"allocs"`
-	FiringAlerts    []string       `json:"firing_alerts,omitempty"`
+	PlanSkipped  bool           `json:"plan_skipped,omitempty"`
+	Allocs       []SessionAlloc `json:"allocs"`
+	FiringAlerts []string       `json:"firing_alerts,omitempty"`
 }
 
 // WriteText renders the report for terminals.
@@ -52,6 +49,11 @@ func (r *HealthReport) WriteText(w io.Writer) error {
 	}
 	if r.PlanWallMS > 0 {
 		if _, err := fmt.Fprintf(w, ", planned in %.2fms", r.PlanWallMS); err != nil {
+			return err
+		}
+	}
+	if r.PlanSkipped {
+		if _, err := fmt.Fprint(w, ", plan carried forward (hysteresis)"); err != nil {
 			return err
 		}
 	}

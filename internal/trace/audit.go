@@ -33,7 +33,6 @@ type PlacementRecord struct {
 	Occupancy float64      `json:"occupancy"`
 	Saturated bool         `json:"saturated,omitempty"`
 	Spatial   bool         `json:"spatial,omitempty"`
-	Shard     string       `json:"shard,omitempty"`
 	Units     []PlacedUnit `json:"units"`
 }
 
@@ -93,15 +92,14 @@ type PlanChange struct {
 
 // PlanDiffRecord is the "why" log for one scheduler decision point: the
 // structured diff between the previous placement and this one, plus the
-// cause ("initial", "periodic", "recovery") and — under sharded planning —
-// how many shards replanned versus skipped on hysteresis.
+// cause ("initial", "periodic", "recovery") and whether the plan-hysteresis
+// band carried the previous plan forward instead of re-planning.
 type PlanDiffRecord struct {
 	Epoch         int          `json:"epoch"`
 	AtMS          float64      `json:"at_ms"`
 	Cause         string       `json:"cause"`
 	SessionsMoved int          `json:"sessions_moved,omitempty"`
-	ShardsReplan  int          `json:"shards_replanned,omitempty"`
-	ShardsSkipped int          `json:"shards_skipped,omitempty"`
+	PlanSkipped   bool         `json:"plan_skipped,omitempty"`
 	Changes       []PlanChange `json:"changes,omitempty"`
 }
 
@@ -302,9 +300,6 @@ func (a *Audit) WriteText(w io.Writer) error {
 			if p.Spatial {
 				sat += " spatial"
 			}
-			if p.Shard != "" {
-				sat += " shard=" + p.Shard
-			}
 			if _, err := fmt.Fprintf(w, "  node %-12s duty=%6.2fms occ=%.3f backends=%v%s\n",
 				p.Node, p.DutyMS, p.Occupancy, p.Backends, sat); err != nil {
 				return err
@@ -419,14 +414,14 @@ func (a *Audit) WriteText(w io.Writer) error {
 }
 
 // WritePlanDiffText renders one plan-diff record: the decision header
-// (epoch, time, cause, shard hysteresis counts) and each structured change.
+// (epoch, time, cause, hysteresis skip) and each structured change.
 func WritePlanDiffText(w io.Writer, pd PlanDiffRecord) error {
 	hdr := fmt.Sprintf("  epoch %-4d %9.1fms cause=%-9s", pd.Epoch, pd.AtMS, pd.Cause)
 	if pd.SessionsMoved > 0 {
 		hdr += fmt.Sprintf(" moved=%d", pd.SessionsMoved)
 	}
-	if pd.ShardsReplan > 0 || pd.ShardsSkipped > 0 {
-		hdr += fmt.Sprintf(" shards=%d replanned/%d skipped", pd.ShardsReplan, pd.ShardsSkipped)
+	if pd.PlanSkipped {
+		hdr += " plan_skipped"
 	}
 	if len(pd.Changes) == 0 {
 		hdr += " (no changes)"

@@ -63,7 +63,7 @@ func TestWritePlanDiffText(t *testing.T) {
 	var sb strings.Builder
 	pd := PlanDiffRecord{
 		Epoch: 3, AtMS: 15000, Cause: "periodic", SessionsMoved: 2,
-		ShardsReplan: 1, ShardsSkipped: 3,
+		PlanSkipped: true,
 		Changes: []PlanChange{
 			{Kind: "session-moved", Session: "s", Unit: "u", From: "plan-0", To: "plan-1"},
 			{Kind: "rate-changed", Session: "s", Unit: "u", Node: "plan-1", Detail: "100 -> 130 rps"},
@@ -74,7 +74,7 @@ func TestWritePlanDiffText(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"epoch 3", "cause=periodic", "moved=2", "shards=1 replanned/3 skipped",
+		"epoch 3", "cause=periodic", "moved=2", "plan_skipped",
 		"session-moved", "plan-0->plan-1", "rate-changed", "(100 -> 130 rps)",
 	} {
 		if !strings.Contains(out, want) {
