@@ -230,9 +230,9 @@ func runAndReport(d *cluster.Deployment, duration time.Duration, label string, g
 				log.Fatal(err)
 			}
 			fmt.Printf("\n  trace: %d of %d events written to %s (analyze with nexus-trace)\n",
-				len(tr.Events()), tr.Total(), traceOut)
+				tr.Len(), tr.Total(), traceOut)
 		} else {
-			fmt.Printf("\n  trace (last %d of %d events):\n", len(tr.Events()), tr.Total())
+			fmt.Printf("\n  trace (last %d of %d events):\n", tr.Len(), tr.Total())
 			if err := tr.WriteText(os.Stdout); err != nil {
 				log.Fatal(err)
 			}

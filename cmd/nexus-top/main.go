@@ -192,7 +192,7 @@ func renderFrame(snaps []telemetry.Snapshot, alerts []telemetry.Alert, planDiffs
 			upStr = "up"
 		}
 		p99, exemplar := "-", "-"
-		if w, ok := cur.Windows[telemetry.Key("backend_exec_ms", "backend", beID)]; ok && w.Count > 0 {
+		if w, ok := cur.Window(telemetry.Key("backend_exec_ms", "backend", beID)); ok && w.Count > 0 {
 			p99 = fmt.Sprintf("%.2fms", w.P99MS)
 			if w.ExemplarID != 0 {
 				exemplar = fmt.Sprintf("req %d", w.ExemplarID)

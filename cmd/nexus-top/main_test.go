@@ -11,17 +11,20 @@ import (
 
 // snap builds a snapshot with the counters/gauges the dashboard reads.
 func snap(at time.Duration, good float64) telemetry.Snapshot {
-	return telemetry.Snapshot{
-		At:   at,
-		AtMS: float64(at) / float64(time.Millisecond),
-		Counters: map[string]float64{
+	return snapExemplar(at, good, 0)
+}
+
+// snapExemplar is snap with the exec window's exemplar request ID set.
+func snapExemplar(at time.Duration, good float64, exemplar uint64) telemetry.Snapshot {
+	return telemetry.NewSnapshot(at,
+		map[string]float64{
 			"sched_epochs_total":                                2,
 			"sched_sessions_moved_total":                        1,
 			telemetry.Key("session_sent_total", "session", "s"): good + 10,
 			telemetry.Key("session_good_total", "session", "s"): good,
 			telemetry.Key("session_bad_total", "session", "s"):  10,
 		},
-		Gauges: map[string]float64{
+		map[string]float64{
 			"sched_gpus_allocated":                                 3,
 			"sched_gpus_demanded":                                  4,
 			"cluster_gpus_capacity":                                8,
@@ -30,10 +33,9 @@ func snap(at time.Duration, good float64) telemetry.Snapshot {
 			telemetry.Key("backend_queue_depth", "backend", "be0"): 7,
 			telemetry.Key("backend_batch_size", "backend", "be0"):  4,
 		},
-		Windows: map[string]telemetry.WindowStats{
-			telemetry.Key("backend_exec_ms", "backend", "be0"): {Count: 12, MeanMS: 20, P50MS: 19, P99MS: 30, MaxMS: 31},
-		},
-	}
+		map[string]telemetry.WindowStats{
+			telemetry.Key("backend_exec_ms", "backend", "be0"): {Count: 12, MeanMS: 20, P50MS: 19, P99MS: 30, MaxMS: 31, ExemplarID: exemplar},
+		})
 }
 
 func TestRenderFrame(t *testing.T) {
@@ -136,10 +138,7 @@ func TestRenderFrameExemplar(t *testing.T) {
 	if strings.Contains(out, "req ") {
 		t.Errorf("exemplar shown without an ID:\n%s", out)
 	}
-	w := s.Windows[telemetry.Key("backend_exec_ms", "backend", "be0")]
-	w.ExemplarID = 4242
-	s.Windows[telemetry.Key("backend_exec_ms", "backend", "be0")] = w
-	out = renderFrame([]telemetry.Snapshot{s}, nil, nil)
+	out = renderFrame([]telemetry.Snapshot{snapExemplar(time.Second, 50, 4242)}, nil, nil)
 	if !strings.Contains(out, "req 4242") {
 		t.Errorf("frame missing exemplar req 4242:\n%s", out)
 	}

@@ -142,11 +142,7 @@ func (r *Recorder) Trigger(at time.Duration, alert telemetry.Alert, tracer *trac
 		AtMS: trace.MS(at), Rule: alert.Rule, Target: alert.Target,
 		Value: alert.Value, Detail: alert.Detail, WindowMS: trace.MS(window),
 	}
-	for _, e := range tracer.Events() {
-		if e.At >= from && e.At <= at {
-			d.Spans = append(d.Spans, e)
-		}
-	}
+	d.Spans = tracer.Window(from, at)
 	fromMS, atMS := trace.MS(from), trace.MS(at)
 	for _, p := range audit.Placements() {
 		if p.AtMS >= fromMS && p.AtMS <= atMS {

@@ -117,8 +117,8 @@ func TestNilRecorderNoOps(t *testing.T) {
 func TestDumpsJSONLRoundTrip(t *testing.T) {
 	tr, audit := seededPlanes()
 	r := New(Config{})
-	r.ObserveSample(telemetry.Snapshot{At: 9 * time.Second, AtMS: 9000,
-		Counters: map[string]float64{"session_good_total|session=s": 12}})
+	r.ObserveSample(telemetry.NewSnapshot(9*time.Second,
+		map[string]float64{"session_good_total|session=s": 12}, nil, nil))
 	r.Trigger(10*time.Second, alert("slo-burn-rate"), tr, audit)
 
 	var a bytes.Buffer

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -151,5 +152,41 @@ func TestHistogramReset(t *testing.T) {
 	h.Record(7 * time.Millisecond)
 	if h.Count() != 1 || h.Min() != 7*time.Millisecond || h.Max() != 7*time.Millisecond {
 		t.Errorf("record after reset: count=%d min=%v max=%v", h.Count(), h.Min(), h.Max())
+	}
+}
+
+// TestHistogramResetClearsEveryBucket drives tumbling windows of random
+// spread, some built by Merge, through Reset: every bucket must be zero
+// afterwards, and each window's quantiles must match a fresh histogram's.
+func TestHistogramResetClearsEveryBucket(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var win Histogram
+	for round := 0; round < 200; round++ {
+		var fresh, part Histogram
+		lo := time.Duration(rng.Int63n(int64(time.Second)))
+		for n := rng.Intn(40); n > 0; n-- {
+			d := lo + time.Duration(rng.Int63n(int64(time.Second)))
+			if rng.Intn(10) == 0 {
+				d = time.Duration(rng.Int63n(int64(time.Microsecond)))
+			}
+			fresh.Record(d)
+			if rng.Intn(3) == 0 {
+				part.Record(d)
+			} else {
+				win.Record(d)
+			}
+		}
+		win.Merge(&part)
+		for _, q := range []float64{0.01, 0.5, 0.9, 0.99} {
+			if got, want := win.Quantile(q), fresh.Quantile(q); got != want {
+				t.Fatalf("round %d: q%.2f = %v, fresh histogram says %v", round, q, got, want)
+			}
+		}
+		win.Reset()
+		for i, c := range win.buckets {
+			if c != 0 {
+				t.Fatalf("round %d: bucket %d holds %d after Reset", round, i, c)
+			}
+		}
 	}
 }

@@ -97,8 +97,9 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	}
 	rank := uint64(q * float64(h.count))
 	var seen uint64
-	for i, c := range h.buckets {
-		seen += c
+	// Buckets below min's are empty; start the scan there.
+	for i := bucketIndex(h.min); i < len(h.buckets); i++ {
+		seen += h.buckets[i]
 		if seen > rank {
 			v := bucketValue(i)
 			if v < h.min {
@@ -129,10 +130,12 @@ func (h *Histogram) FractionAbove(limit time.Duration) float64 {
 
 // Reset clears all observations, keeping the bucket storage for reuse.
 // This is what makes the histogram usable as a tumbling window: rotate by
-// summarizing and resetting in place, no per-window allocation.
+// summarizing and resetting in place, no per-window allocation. Every
+// observation lies between min and max, so only their bucket range is
+// cleared: the cost follows the window's spread, not the storage.
 func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i] = 0
+	if h.count > 0 {
+		clear(h.buckets[bucketIndex(h.min) : bucketIndex(h.max)+1])
 	}
 	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
 }
@@ -236,6 +239,10 @@ func (r *Recorder) Session(id string) *SessionStats {
 	}
 	return s
 }
+
+// NumSessions returns how many session IDs the recorder knows. Sessions
+// are never removed, so a change in the count means new IDs.
+func (r *Recorder) NumSessions() int { return len(r.sessions) }
 
 // SessionIDs returns the known session IDs in sorted order.
 func (r *Recorder) SessionIDs() []string {

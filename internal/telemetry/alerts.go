@@ -79,19 +79,27 @@ func (h *History) before(window time.Duration) *Snapshot {
 // ok is false when history does not span the window yet.
 func (h *History) CounterDelta(key string, window time.Duration) (float64, bool) {
 	last := h.Latest()
-	old := h.before(window)
-	if last == nil || old == nil {
+	if last == nil {
 		return 0, false
 	}
-	cur, okc := last.Counter(key)
+	i, ok := last.table().counters.index[key]
+	if !ok {
+		return 0, false
+	}
+	return counterDelta(last, h.before(window), slot{last.tab, i, key})
+}
+
+// counterDelta is the growth of the latest snapshot's counter k since old
+// (nil when history does not reach back far enough).
+func counterDelta(last, old *Snapshot, k slot) (float64, bool) {
+	if old == nil {
+		return 0, false
+	}
 	prev := 0.0
-	if v, ok := old.Counter(key); ok {
+	if v, ok := old.counterAt(k); ok {
 		prev = v
 	}
-	if !okc {
-		return 0, false
-	}
-	d := cur - prev
+	d := last.counters[k.i] - prev
 	if d < 0 {
 		d = 0
 	}
@@ -103,23 +111,32 @@ func (h *History) CounterDelta(key string, window time.Duration) (float64, bool)
 // last seen value, so a target that disappears and returns does not
 // manufacture extra flips).
 func (h *History) Transitions(key string, window time.Duration) int {
-	if len(h.snaps) == 0 {
+	last := h.Latest()
+	if last == nil {
 		return 0
 	}
+	k := slot{key: key}
+	if i, ok := last.table().gauges.index[key]; ok {
+		k = slot{last.tab, i, key}
+	}
+	return h.transitions(k, window)
+}
+
+func (h *History) transitions(k slot, window time.Duration) int {
 	cutoff := h.snaps[len(h.snaps)-1].At - window
 	n := 0
 	var prev float64
 	seen := false
 	for i := range h.snaps {
+		v, ok := h.snaps[i].gaugeAt(k)
 		if h.snaps[i].At < cutoff {
 			// Still establish the pre-window baseline so a change right at
 			// the window edge counts.
-			if v, ok := h.snaps[i].Gauge(key); ok {
+			if ok {
 				prev, seen = v, true
 			}
 			continue
 		}
-		v, ok := h.snaps[i].Gauge(key)
 		if !ok {
 			continue
 		}
@@ -138,14 +155,14 @@ type Engine struct {
 	rules  []Rule
 	keep   time.Duration
 	hist   History
-	firing map[string]bool // rule+"\x00"+target currently firing
+	firing map[string][]string // rule name → its firing targets, sorted
 	log    []Alert
 }
 
 // NewEngine builds an engine over the given rules (nil or empty = no
 // alerting, snapshots are still retained for the longest default window).
 func NewEngine(rules []Rule) *Engine {
-	e := &Engine{rules: rules, firing: make(map[string]bool)}
+	e := &Engine{rules: rules, firing: make(map[string][]string)}
 	for _, r := range rules {
 		if w := r.Window(); w > e.keep {
 			e.keep = w
@@ -179,35 +196,43 @@ func (e *Engine) Observe(s Snapshot) {
 	}
 }
 
-// apply reconciles one rule's current violations against its firing set.
+// apply reconciles one rule's current violations against its firing
+// targets: new targets log "firing" in target order, then targets no
+// longer violated log "resolved" in target order. Of duplicate targets the
+// first in sorted order wins.
 func (e *Engine) apply(rule string, at time.Duration, violations []Violation) {
+	was := e.firing[rule]
+	if len(violations) == 0 && len(was) == 0 {
+		return
+	}
 	sort.Slice(violations, func(i, j int) bool { return violations[i].Target < violations[j].Target })
-	active := make(map[string]bool, len(violations))
-	for _, v := range violations {
-		key := rule + "\x00" + v.Target
-		active[key] = true
-		if e.firing[key] {
+	var now []string
+	for i, v := range violations {
+		if i > 0 && violations[i-1].Target == v.Target {
 			continue
 		}
-		e.firing[key] = true
+		now = append(now, v.Target)
+		if j := sort.SearchStrings(was, v.Target); j < len(was) && was[j] == v.Target {
+			continue
+		}
 		e.log = append(e.log, Alert{
 			At: at, AtMS: MS(at), Rule: rule, Target: v.Target,
 			State: "firing", Value: v.Value, Detail: v.Detail,
 		})
 	}
-	var resolved []string
-	for key := range e.firing {
-		if len(key) > len(rule) && key[:len(rule)] == rule && key[len(rule)] == 0 && !active[key] {
-			resolved = append(resolved, key)
+	for _, target := range was {
+		if j := sort.SearchStrings(now, target); j < len(now) && now[j] == target {
+			continue
 		}
-	}
-	sort.Strings(resolved)
-	for _, key := range resolved {
-		delete(e.firing, key)
 		e.log = append(e.log, Alert{
-			At: at, AtMS: MS(at), Rule: rule, Target: key[len(rule)+1:], State: "resolved",
+			At: at, AtMS: MS(at), Rule: rule, Target: target, State: "resolved",
 		})
 	}
+	if len(now) == 0 {
+		delete(e.firing, rule)
+		return
+	}
+	e.firing[rule] = now
 }
 
 // Alerts returns the full chronological alert log.
@@ -224,13 +249,10 @@ func (e *Engine) Firing() []string {
 	if e == nil {
 		return nil
 	}
-	out := make([]string, 0, len(e.firing))
-	for key := range e.firing {
-		for i := 0; i < len(key); i++ {
-			if key[i] == 0 {
-				out = append(out, key[:i]+"("+key[i+1:]+")")
-				break
-			}
+	var out []string
+	for rule, targets := range e.firing {
+		for _, target := range targets {
+			out = append(out, rule+"("+target+")")
 		}
 	}
 	sort.Strings(out)
@@ -284,29 +306,46 @@ func (r BurnRate) Check(h *History) []Violation {
 		return nil
 	}
 	last := h.Latest()
-	if last == nil {
+	oldShort, oldLong := h.before(short), h.before(long)
+	if last == nil || oldShort == nil || oldLong == nil {
 		return nil
 	}
+	// Walk the good and bad counter families together: both are sorted by
+	// their session label block, so each session's pair is a merge step.
+	const goodFam, badFam = "session_good_total", "session_bad_total"
+	cs := &last.table().counters
 	var out []Violation
-	for _, key := range last.Keys("session_good_total") {
-		sid := LabelValue(key, "session")
-		burn := func(w time.Duration) (float64, float64, bool) {
-			good, ok1 := h.CounterDelta(Key("session_good_total", "session", sid), w)
-			bad, ok2 := h.CounterDelta(Key("session_bad_total", "session", sid), w)
-			if !ok1 || !ok2 || good+bad == 0 {
+	gsp, bsp := cs.fams[goodFam], cs.fams[badFam]
+	j := bsp.lo
+	for i := gsp.lo; i < gsp.hi; i++ {
+		if !cs.inFamily(i, goodFam) {
+			continue
+		}
+		labels := cs.keys[i][len(goodFam):]
+		for j < bsp.hi && (!cs.inFamily(j, badFam) || cs.keys[j][len(badFam):] < labels) {
+			j++
+		}
+		if j == bsp.hi || cs.keys[j][len(badFam):] != labels {
+			continue
+		}
+		good, bad := slot{last.tab, i, cs.keys[i]}, slot{last.tab, j, cs.keys[j]}
+		burn := func(old *Snapshot) (float64, float64, bool) {
+			g, _ := counterDelta(last, old, good)
+			b, _ := counterDelta(last, old, bad)
+			if g+b == 0 {
 				return 0, 0, false
 			}
-			frac := bad / (good + bad)
-			return frac / budget, good + bad, true
+			frac := b / (g + b)
+			return frac / budget, g + b, true
 		}
-		bs, _, oks := burn(short)
-		bl, nl, okl := burn(long)
+		bs, _, oks := burn(oldShort)
+		bl, nl, okl := burn(oldLong)
 		if !oks || !okl || nl < minSent {
 			continue
 		}
 		if bs >= thr && bl >= thr {
 			out = append(out, Violation{
-				Target: sid,
+				Target: LabelValue(cs.keys[i], "session"),
 				Value:  bs,
 				Detail: fmt.Sprintf("burn %.1fx budget over %v, %.1fx over %v (target %.2f%%)", bs, short, bl, long, 100*target),
 			})
@@ -342,20 +381,27 @@ func (r QueueSaturation) Check(h *History) []Violation {
 		return nil
 	}
 	last := h.Latest()
+	const fam = "backend_queue_depth"
+	gs := &last.table().gauges
 	var out []Violation
-	for _, key := range last.Keys("backend_queue_depth") {
+	sp := gs.fams[fam]
+	for i := sp.lo; i < sp.hi; i++ {
+		if !gs.inFamily(i, fam) {
+			continue
+		}
+		k := slot{last.tab, i, gs.keys[i]}
 		ok := true
-		for i := 0; i < consec; i++ {
-			v, present := snaps[len(snaps)-1-i].Gauge(key)
+		for n := 0; n < consec; n++ {
+			v, present := snaps[len(snaps)-1-n].gaugeAt(k)
 			if !present || v < limit {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			v, _ := last.Gauge(key)
+			v := last.gauges[i]
 			out = append(out, Violation{
-				Target: LabelValue(key, "backend"),
+				Target: LabelValue(k.key, "backend"),
 				Value:  v,
 				Detail: fmt.Sprintf("queue depth %.0f >= %.0f for %d samples", v, limit, consec),
 			})
@@ -400,16 +446,20 @@ func (r Straggler) Check(h *History) []Violation {
 		return nil
 	}
 	type peer struct {
-		id   string
+		key  string
 		mean float64
 	}
+	const fam = "backend_exec_ms"
+	ws := &last.table().windows
 	var peers []peer
-	for _, key := range last.Keys("backend_exec_ms") {
-		w, ok := last.Windows[key]
-		if !ok || w.Count < minCount {
+	sp := ws.fams[fam]
+	for i := sp.lo; i < sp.hi; i++ {
+		if !ws.inFamily(i, fam) {
 			continue
 		}
-		peers = append(peers, peer{id: LabelValue(key, "backend"), mean: w.MeanMS})
+		if w := last.windows[i]; w.Count >= minCount {
+			peers = append(peers, peer{key: ws.keys[i], mean: w.MeanMS})
+		}
 	}
 	if len(peers) < minPeers {
 		return nil
@@ -432,7 +482,7 @@ func (r Straggler) Check(h *History) []Violation {
 		score := (p.mean - mu) / sigma
 		if score >= z && p.mean >= ratio*mu {
 			out = append(out, Violation{
-				Target: p.id,
+				Target: LabelValue(p.key, "backend"),
 				Value:  score,
 				Detail: fmt.Sprintf("exec mean %.2fms vs fleet %.2fms (z=%.2f over %d GPUs)", p.mean, mu, score, len(peers)),
 			})
@@ -473,11 +523,17 @@ func (r BackendFlap) Check(h *History) []Violation {
 	if last == nil {
 		return nil
 	}
+	const fam = "backend_up"
+	gs := &last.table().gauges
 	var out []Violation
-	for _, key := range last.Keys("backend_up") {
-		if n := h.Transitions(key, win); n >= min {
+	sp := gs.fams[fam]
+	for i := sp.lo; i < sp.hi; i++ {
+		if !gs.inFamily(i, fam) {
+			continue
+		}
+		if n := h.transitions(slot{last.tab, i, gs.keys[i]}, win); n >= min {
 			out = append(out, Violation{
-				Target: LabelValue(key, "backend"),
+				Target: LabelValue(gs.keys[i], "backend"),
 				Value:  float64(n),
 				Detail: fmt.Sprintf("%d up/down transitions in %v", n, win),
 			})

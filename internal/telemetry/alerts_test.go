@@ -7,17 +7,7 @@ import (
 
 // snapAt builds a synthetic snapshot for rule tests.
 func snapAt(at time.Duration, counters, gauges map[string]float64, windows map[string]WindowStats) Snapshot {
-	s := Snapshot{At: at, AtMS: MS(at), Counters: map[string]float64{}, Gauges: map[string]float64{}, Windows: map[string]WindowStats{}}
-	for k, v := range counters {
-		s.Counters[k] = v
-	}
-	for k, v := range gauges {
-		s.Gauges[k] = v
-	}
-	for k, v := range windows {
-		s.Windows[k] = v
-	}
-	return s
+	return NewSnapshot(at, counters, gauges, windows)
 }
 
 func TestHistoryCounterDelta(t *testing.T) {

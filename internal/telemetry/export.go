@@ -13,12 +13,16 @@ import (
 )
 
 // WriteSnapshotsJSONL writes snapshots one JSON object per line — the
-// stream format nexus-top tails. Go's JSON encoder emits map keys sorted,
-// so output is byte-deterministic.
+// stream format nexus-top tails. Keys come out sorted, so output is
+// byte-deterministic.
 func WriteSnapshotsJSONL(w io.Writer, snaps []Snapshot) error {
-	enc := json.NewEncoder(w)
+	var line []byte
 	for i := range snaps {
-		if err := enc.Encode(&snaps[i]); err != nil {
+		var err error
+		if line, err = snaps[i].appendJSON(line[:0]); err != nil {
+			return err
+		}
+		if _, err := w.Write(append(line, '\n')); err != nil {
 			return err
 		}
 	}
@@ -77,18 +81,25 @@ const promPrefix = "nexus_"
 // _p99 gauges in milliseconds.
 func WritePrometheus(w io.Writer, s *Snapshot) error {
 	bw := bufio.NewWriter(w)
-	writeFamilies(bw, s.Counters, "counter", "")
-	writeFamilies(bw, s.Gauges, "gauge", "")
-	if len(s.Windows) > 0 {
-		flat := make(map[string]float64, 4*len(s.Windows))
-		for k, ws := range s.Windows {
-			fam, labels := splitKey(k)
-			flat[fam+"_count"+labels] = float64(ws.Count)
-			flat[fam+"_mean"+labels] = ws.MeanMS
-			flat[fam+"_p50"+labels] = ws.P50MS
-			flat[fam+"_p99"+labels] = ws.P99MS
+	tab := s.table()
+	writeFamilies(bw, len(s.counters), func(i int) (string, float64) { return tab.counters.keys[i], s.counters[i] }, "counter")
+	writeFamilies(bw, len(s.gauges), func(i int) (string, float64) { return tab.gauges.keys[i], s.gauges[i] }, "gauge")
+	if len(s.windows) > 0 {
+		type flatSample struct {
+			key string
+			v   float64
 		}
-		writeFamilies(bw, flat, "gauge", "")
+		flat := make([]flatSample, 0, 4*len(s.windows))
+		for i, ws := range s.windows {
+			fam, labels := splitKey(tab.windows.keys[i])
+			flat = append(flat,
+				flatSample{fam + "_count" + labels, float64(ws.Count)},
+				flatSample{fam + "_mean" + labels, ws.MeanMS},
+				flatSample{fam + "_p50" + labels, ws.P50MS},
+				flatSample{fam + "_p99" + labels, ws.P99MS})
+		}
+		sort.Slice(flat, func(i, j int) bool { return flat[i].key < flat[j].key })
+		writeFamilies(bw, len(flat), func(i int) (string, float64) { return flat[i].key, flat[i].v }, "gauge")
 	}
 	fmt.Fprintf(bw, "# HELP %ssnapshot_at_ms virtual time of this snapshot\n", promPrefix)
 	fmt.Fprintf(bw, "# TYPE %ssnapshot_at_ms gauge\n", promPrefix)
@@ -108,24 +119,17 @@ func splitKey(key string) (family, labels string) {
 }
 
 // writeFamilies emits one # TYPE header per metric family, then its
-// samples, all sorted.
-func writeFamilies(w io.Writer, values map[string]float64, typ, help string) {
-	keys := make([]string, 0, len(values))
-	for k := range values {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+// samples; sample(i) returns the i-th key and value, keys sorted.
+func writeFamilies(w io.Writer, n int, sample func(i int) (string, float64), typ string) {
 	lastFam := ""
-	for _, k := range keys {
+	for i := 0; i < n; i++ {
+		k, v := sample(i)
 		fam, labels := splitKey(k)
 		if fam != lastFam {
-			if help != "" {
-				fmt.Fprintf(w, "# HELP %s%s %s\n", promPrefix, fam, help)
-			}
 			fmt.Fprintf(w, "# TYPE %s%s %s\n", promPrefix, fam, typ)
 			lastFam = fam
 		}
-		fmt.Fprintf(w, "%s%s%s %s\n", promPrefix, fam, labels, formatValue(values[k]))
+		fmt.Fprintf(w, "%s%s%s %s\n", promPrefix, fam, labels, formatValue(v))
 	}
 }
 

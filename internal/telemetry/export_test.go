@@ -42,7 +42,7 @@ func TestSnapshotsJSONLRoundTrip(t *testing.T) {
 	if v, _ := got[1].Counter(Key("session_good_total", "session", "s")); v != 240 {
 		t.Errorf("counter after round trip: %v", v)
 	}
-	if w := got[0].Windows[Key("backend_exec_ms", "backend", "be0")]; w.Count != 1 {
+	if w, _ := got[0].Window(Key("backend_exec_ms", "backend", "be0")); w.Count != 1 {
 		t.Errorf("window after round trip: %+v", w)
 	}
 }

@@ -207,10 +207,20 @@ type WindowStats struct {
 // Registry holds the live instruments, keyed canonically. Instruments are
 // created on first use and persist for the run, so snapshot key sets are
 // stable. The nil Registry hands out nil instruments, which no-op.
+//
+// Sample reads the instruments through a sorted key table built once per
+// registration burst: a registration drops the table and the next Sample
+// rebuilds it, so steady-state sampling never sorts or hashes a key. A
+// built table is never modified — snapshots share it.
 type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	windows  map[string]*Window
+
+	tab  *keyTable // nil when an instrument was registered since the last build
+	ctrs []*Counter
+	ggs  []*Gauge
+	wins []*Window
 }
 
 // NewRegistry returns an empty registry.
@@ -222,18 +232,14 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter returns (creating if needed) the counter for name+labels.
+// Counter returns (creating if needed) the counter for name+labels. It
+// builds the canonical key on every call, so hot callers resolve the
+// handle once and keep it.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	k := Key(name, labels...)
-	c, ok := r.counters[k]
-	if !ok {
-		c = &Counter{}
-		r.counters[k] = c
-	}
-	return c
+	return register(r, r.counters, Key(name, labels...))
 }
 
 // Gauge returns (creating if needed) the gauge for name+labels.
@@ -241,13 +247,7 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	k := Key(name, labels...)
-	g, ok := r.gauges[k]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[k] = g
-	}
-	return g
+	return register(r, r.gauges, Key(name, labels...))
 }
 
 // Window returns (creating if needed) the windowed histogram for
@@ -256,82 +256,47 @@ func (r *Registry) Window(name string, labels ...string) *Window {
 	if r == nil {
 		return nil
 	}
-	k := Key(name, labels...)
-	w, ok := r.windows[k]
+	return register(r, r.windows, Key(name, labels...))
+}
+
+// register returns the instrument under key, creating it and dropping the
+// key table when the key is new.
+func register[T any](r *Registry, m map[string]*T, key string) *T {
+	inst, ok := m[key]
 	if !ok {
-		w = &Window{}
-		r.windows[k] = w
+		inst = new(T)
+		m[key] = inst
+		r.tab = nil
 	}
-	return w
+	return inst
 }
 
 // Sample captures every instrument's current value into a Snapshot stamped
 // at virtual time `at`, rotating all windows. A nil registry samples to an
 // empty snapshot.
 func (r *Registry) Sample(at time.Duration) Snapshot {
-	s := Snapshot{
-		At:       at,
-		AtMS:     MS(at),
-		Counters: map[string]float64{},
-		Gauges:   map[string]float64{},
-		Windows:  map[string]WindowStats{},
-	}
+	s := Snapshot{At: at, AtMS: MS(at)}
 	if r == nil {
 		return s
 	}
-	for k, c := range r.counters {
-		s.Counters[k] = c.Value()
+	if r.tab == nil {
+		r.tab = &keyTable{}
+		r.tab.counters, r.ctrs = sortedValues(r.counters)
+		r.tab.gauges, r.ggs = sortedValues(r.gauges)
+		r.tab.windows, r.wins = sortedValues(r.windows)
 	}
-	for k, g := range r.gauges {
-		s.Gauges[k] = g.Value()
+	s.tab = r.tab
+	s.counters = make([]float64, len(r.ctrs))
+	for i, c := range r.ctrs {
+		s.counters[i] = c.v
 	}
-	for k, w := range r.windows {
-		s.Windows[k] = w.take()
+	s.gauges = make([]float64, len(r.ggs))
+	for i, g := range r.ggs {
+		s.gauges[i] = g.v
+	}
+	s.windows = make([]WindowStats, len(r.wins))
+	for i, w := range r.wins {
+		s.windows[i] = w.take()
 	}
 	return s
-}
-
-// Snapshot is one sampled state of the registry. Map keys serialize
-// sorted, so encoded snapshots are deterministic.
-type Snapshot struct {
-	At       time.Duration          `json:"-"`
-	AtMS     float64                `json:"at_ms"`
-	Counters map[string]float64     `json:"counters,omitempty"`
-	Gauges   map[string]float64     `json:"gauges,omitempty"`
-	Windows  map[string]WindowStats `json:"windows,omitempty"`
-}
-
-// Counter returns a counter's value in the snapshot.
-func (s *Snapshot) Counter(key string) (float64, bool) {
-	v, ok := s.Counters[key]
-	return v, ok
-}
-
-// Gauge returns a gauge's value in the snapshot.
-func (s *Snapshot) Gauge(key string) (float64, bool) {
-	v, ok := s.Gauges[key]
-	return v, ok
-}
-
-// Keys returns the snapshot's keys of one metric family, sorted. It scans
-// counters, gauges, and windows.
-func (s *Snapshot) Keys(family string) []string {
-	var out []string
-	for k := range s.Counters {
-		if Family(k) == family {
-			out = append(out, k)
-		}
-	}
-	for k := range s.Gauges {
-		if Family(k) == family {
-			out = append(out, k)
-		}
-	}
-	for k := range s.Windows {
-		if Family(k) == family {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -186,27 +186,77 @@ func (t *Tracer) Total() uint64 {
 	return t.total
 }
 
+// Len returns how many events the ring retains, without copying them.
+func (t *Tracer) Len() int {
+	if t == nil {
+		return 0
+	}
+	if t.filled {
+		return len(t.events)
+	}
+	return t.next
+}
+
+// segments returns the retained events as the ring's two runs, older run
+// first, so readers walk the ring in place in record order. A nil tracer
+// has no runs.
+func (t *Tracer) segments() [2][]Event {
+	if t == nil {
+		return [2][]Event{}
+	}
+	if !t.filled {
+		return [2][]Event{t.events[:t.next], nil}
+	}
+	return [2][]Event{t.events[t.next:], t.events[:t.next]}
+}
+
 // Events returns the retained events in chronological order.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	if !t.filled {
-		out := make([]Event, t.next)
-		copy(out, t.events[:t.next])
-		return out
+	segs := t.segments()
+	out := make([]Event, 0, len(segs[0])+len(segs[1]))
+	out = append(out, segs[0]...)
+	return append(out, segs[1]...)
+}
+
+// Window returns the retained events with from <= At <= to, in record
+// order, in an exactly sized slice (nil when none match). It reads the
+// ring in place: one pass counts the matches, a second copies them. The
+// scan is linear because nothing orders the ring by At — Reserve callers
+// may stamp events out of order.
+func (t *Tracer) Window(from, to time.Duration) []Event {
+	segs := t.segments()
+	n := 0
+	for _, seg := range segs {
+		for i := range seg {
+			if at := seg[i].At; at >= from && at <= to {
+				n++
+			}
+		}
 	}
-	out := make([]Event, 0, len(t.events))
-	out = append(out, t.events[t.next:]...)
-	out = append(out, t.events[:t.next]...)
+	if n == 0 {
+		return nil
+	}
+	out := make([]Event, 0, n)
+	for _, seg := range segs {
+		for i := range seg {
+			if at := seg[i].At; at >= from && at <= to {
+				out = append(out, seg[i])
+			}
+		}
+	}
 	return out
 }
 
 // ByRequest groups retained events per request ID, each group in order.
 func (t *Tracer) ByRequest() map[uint64][]Event {
 	out := make(map[uint64][]Event)
-	for _, e := range t.Events() {
-		out[e.ReqID] = append(out[e.ReqID], e)
+	for _, seg := range t.segments() {
+		for i := range seg {
+			out[seg[i].ReqID] = append(out[seg[i].ReqID], seg[i])
+		}
 	}
 	return out
 }
@@ -216,13 +266,16 @@ func (t *Tracer) ByRequest() map[uint64][]Event {
 func (t *Tracer) RequestLatency() map[uint64]time.Duration {
 	out := make(map[uint64]time.Duration)
 	arrivals := make(map[uint64]time.Duration)
-	for _, e := range t.Events() {
-		switch e.Kind {
-		case Arrive:
-			arrivals[e.ReqID] = e.At
-		case Complete:
-			if at, ok := arrivals[e.ReqID]; ok {
-				out[e.ReqID] = e.At - at
+	for _, seg := range t.segments() {
+		for i := range seg {
+			e := &seg[i]
+			switch e.Kind {
+			case Arrive:
+				arrivals[e.ReqID] = e.At
+			case Complete:
+				if at, ok := arrivals[e.ReqID]; ok {
+					out[e.ReqID] = e.At - at
+				}
 			}
 		}
 	}
@@ -256,31 +309,39 @@ func ReadJSON(r io.Reader) ([]Event, error) {
 
 // WriteText renders retained events human-readably, one per line.
 func (t *Tracer) WriteText(w io.Writer) error {
-	for _, e := range t.Events() {
-		var err error
-		switch e.Kind {
-		case Execute:
-			_, err = fmt.Fprintf(w, "%-14v %-9s req=%-8d %s unit=%s batch=%d inc=%d\n",
-				e.At, e.Kind, e.ReqID, e.Backend, e.Unit, e.Batch, e.Inc)
-		case Drop:
-			_, err = fmt.Fprintf(w, "%-14v %-9s req=%-8d %s cause=%s %s\n",
-				e.At, e.Kind, e.ReqID, e.Session, e.Cause, e.Detail)
-		default:
-			_, err = fmt.Fprintf(w, "%-14v %-9s req=%-8d %s %s\n",
-				e.At, e.Kind, e.ReqID, e.Session, e.Backend)
-		}
-		if err != nil {
-			return err
+	for _, seg := range t.segments() {
+		for i := range seg {
+			if err := writeEventText(w, &seg[i]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
+func writeEventText(w io.Writer, e *Event) error {
+	var err error
+	switch e.Kind {
+	case Execute:
+		_, err = fmt.Fprintf(w, "%-14v %-9s req=%-8d %s unit=%s batch=%d inc=%d\n",
+			e.At, e.Kind, e.ReqID, e.Backend, e.Unit, e.Batch, e.Inc)
+	case Drop:
+		_, err = fmt.Fprintf(w, "%-14v %-9s req=%-8d %s cause=%s %s\n",
+			e.At, e.Kind, e.ReqID, e.Session, e.Cause, e.Detail)
+	default:
+		_, err = fmt.Fprintf(w, "%-14v %-9s req=%-8d %s %s\n",
+			e.At, e.Kind, e.ReqID, e.Session, e.Backend)
+	}
+	return err
+}
+
 // Summary aggregates retained events by kind.
 func (t *Tracer) Summary() map[Kind]int {
 	out := make(map[Kind]int)
-	for _, e := range t.Events() {
-		out[e.Kind]++
+	for _, seg := range t.segments() {
+		for i := range seg {
+			out[seg[i].Kind]++
+		}
 	}
 	return out
 }
@@ -288,9 +349,11 @@ func (t *Tracer) Summary() map[Kind]int {
 // Sessions lists the distinct sessions seen in retained events, sorted.
 func (t *Tracer) Sessions() []string {
 	set := make(map[string]bool)
-	for _, e := range t.Events() {
-		if e.Session != "" {
-			set[e.Session] = true
+	for _, seg := range t.segments() {
+		for i := range seg {
+			if s := seg[i].Session; s != "" {
+				set[s] = true
+			}
 		}
 	}
 	out := make([]string, 0, len(set))

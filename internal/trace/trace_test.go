@@ -334,3 +334,69 @@ func TestPropertyFilterTransparent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: Window(from, to) equals filtering Events() by from <= At <= to
+// — at random capacities, before and after wraparound, under a SetFilter
+// predicate, and with events recorded (some through Reserve) out of At
+// order. The result is exactly sized, nil when nothing matches, and Len
+// agrees with Events.
+func TestPropertyWindowMatchesEvents(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		capn := rng.Intn(24) + 1
+		n := rng.Intn(4 * capn)
+		tr := New(capn)
+		if rng.Intn(2) == 0 {
+			tr.SetFilter(func(e Event) bool { return e.Kind != Drop })
+		}
+		for i := 0; i < n; i++ {
+			// Timestamps jitter backwards as well as forwards.
+			e := ev(i+rng.Intn(9)-4, Arrive, uint64(i))
+			if rng.Intn(4) == 0 {
+				e.Kind = Drop
+			}
+			if rng.Intn(3) == 0 {
+				*tr.Reserve() = e
+			} else {
+				tr.Record(e)
+			}
+		}
+		all := tr.Events()
+		if tr.Len() != len(all) {
+			return false
+		}
+		for q := 0; q < 8; q++ {
+			from := time.Duration(rng.Intn(n+10)-5) * time.Millisecond
+			to := from + time.Duration(rng.Intn(n/2+3)-1)*time.Millisecond
+			var want []Event
+			for _, e := range all {
+				if e.At >= from && e.At <= to {
+					want = append(want, e)
+				}
+			}
+			got := tr.Window(from, to)
+			if len(want) == 0 {
+				if got != nil {
+					return false
+				}
+				continue
+			}
+			if len(got) != len(want) || cap(got) != len(got) {
+				return false
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	var nilTracer *Tracer
+	if nilTracer.Window(0, time.Hour) != nil || nilTracer.Len() != 0 {
+		t.Fatal("nil tracer must have an empty window")
+	}
+}
