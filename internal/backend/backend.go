@@ -8,6 +8,7 @@ import (
 	"nexus/internal/gpusim"
 	"nexus/internal/profiler"
 	"nexus/internal/simclock"
+	"nexus/internal/workload"
 )
 
 // Discipline is how a backend arbitrates its units on the GPU.
@@ -46,6 +47,10 @@ type Config struct {
 	// priority instead of being discarded — they complete late (counted
 	// as missed, not dropped) whenever the GPU would otherwise idle.
 	DeferDropped bool
+	// Sessions is the deployment's session table. Configure sizes the
+	// prefix groups' per-session member counts to it, so a batch never
+	// grows them; nil sizes them on first use.
+	Sessions *workload.Sessions
 }
 
 // maxDeferred bounds each unit's low-priority queue; beyond it, deferred
@@ -58,9 +63,6 @@ type Unit struct {
 	ID          string
 	Profile     *profiler.Profile
 	TargetBatch int
-	// Members lists the session IDs served by this unit (for stats); empty
-	// means the unit serves the session named by ID.
-	Members []string
 	// Prefix/Suffix, when both set, make this a prefix-batched group
 	// (§6.3): a batch executes the shared prefix once at full batch size,
 	// then one suffix invocation per member session actually present in
@@ -87,9 +89,15 @@ type Backend struct {
 	dev   *gpusim.Device
 	cfg   Config
 
-	units  []*unitState
-	byID   map[string]*unitState
-	onDone CompletionFunc
+	units []*unitState
+	// slotUnit holds each unit under the slot its ID was given by Slot (nil
+	// while no unit has that ID). A slot is never reassigned to another ID,
+	// so a route resolved before a reconfiguration reaches the unit that now
+	// has its ID, or none.
+	slotUnit []*unitState
+	slotID   []string
+	unitSlot map[string]int
+	onDone   CompletionFunc
 
 	rrIdx     int
 	rrRunning bool
@@ -125,69 +133,21 @@ type Backend struct {
 }
 
 // memberCounts counts a prefix-group batch's requests per session without
-// clearing or iterating a map per batch: slot maps every session seen to a
-// dense index into count, and touched lists the slots the current batch
-// incremented. Every count is zero between batches. Configure pre-sizes it
-// from the units' Members; Reset forgets the sessions and keeps the
-// capacity.
+// clearing or iterating a map per batch: count is indexed by the request's
+// session index, and touched lists the indices the current batch
+// incremented. Every count is zero between batches.
 type memberCounts struct {
-	slot    map[string]int
 	count   []int
-	touched []int
+	touched []int32
 }
 
-// reserve gives every member of every prefix group in units a slot, sized
-// so the batches that follow do not grow the scratch.
-func (m *memberCounts) reserve(units []Unit) {
-	fresh := 0
-	for _, u := range units {
-		if u.Prefix != nil && u.Suffix != nil {
-			for _, s := range u.Members {
-				if _, ok := m.slot[s]; !ok {
-					fresh++
-				}
-			}
-		}
+// size grows the counts to cover n session indices, and touched to hold
+// them all, keeping what the current batch has counted.
+func (m *memberCounts) size(n int) {
+	if n > len(m.count) {
+		m.count = append(m.count, make([]int, n-len(m.count))...)
+		m.touched = slices.Grow(m.touched, n-len(m.touched))
 	}
-	if fresh == 0 {
-		return
-	}
-	if m.slot == nil {
-		m.slot = make(map[string]int, fresh)
-	}
-	m.count = slices.Grow(m.count, fresh)
-	for _, u := range units {
-		if u.Prefix != nil && u.Suffix != nil {
-			for _, s := range u.Members {
-				m.slotOf(s)
-			}
-		}
-	}
-	if cap(m.touched) < cap(m.count) {
-		m.touched = make([]int, 0, cap(m.count))
-	}
-}
-
-// slotOf returns the session's dense slot, adding one on first sight. A
-// session outside every group's Members (a stale request after a regroup)
-// gets its own slot and so counts as a distinct member.
-func (m *memberCounts) slotOf(session string) int {
-	i, ok := m.slot[session]
-	if !ok {
-		if m.slot == nil {
-			m.slot = make(map[string]int)
-		}
-		i = len(m.count)
-		m.slot[session] = i
-		m.count = append(m.count, 0)
-	}
-	return i
-}
-
-// reset forgets every session, keeping the allocated capacity.
-func (m *memberCounts) reset() {
-	clear(m.slot)
-	m.count = m.count[:0]
 }
 
 type unitState struct {
@@ -217,8 +177,8 @@ func New(id string, clock *simclock.Clock, dev *gpusim.Device, cfg Config, onDon
 	}
 	b := &Backend{
 		ID: id, clock: clock, dev: dev, cfg: cfg,
-		byID:   make(map[string]*unitState),
-		onDone: onDone,
+		unitSlot: make(map[string]int),
+		onDone:   onDone,
 	}
 	b.rrStepFn = b.stepRR
 	// Batch-run arena: one contiguous block with callbacks bound up front,
@@ -281,10 +241,32 @@ func (b *Backend) QueuedTotal() int {
 
 // QueueLen returns the queued request count for a unit (0 if unknown).
 func (b *Backend) QueueLen(unitID string) int {
-	if u, ok := b.byID[unitID]; ok {
+	if u := b.unit(unitID); u != nil {
 		return u.queue.Len()
 	}
 	return 0
+}
+
+// Slot returns the slot of a unit ID on this backend, giving the ID the
+// next slot on first sight. Senders resolve it once per route and pass it
+// to Enqueue, which then finds the unit without hashing its ID.
+func (b *Backend) Slot(unitID string) int {
+	i, ok := b.unitSlot[unitID]
+	if !ok {
+		i = len(b.slotUnit)
+		b.unitSlot[unitID] = i
+		b.slotUnit = append(b.slotUnit, nil)
+		b.slotID = append(b.slotID, unitID)
+	}
+	return i
+}
+
+// unit returns the unit configured under an ID, or nil.
+func (b *Backend) unit(unitID string) *unitState {
+	if i, ok := b.unitSlot[unitID]; ok {
+		return b.slotUnit[i]
+	}
+	return nil
 }
 
 // Configure installs a new unit set. Units whose ID persists keep their
@@ -323,12 +305,17 @@ func (b *Backend) Configure(units []Unit) error {
 		}
 		b.releaseSlice(u)
 		b.dev.Unload(u.ID)
-		delete(b.byID, u.ID)
+		b.slotUnit[b.unitSlot[u.ID]] = nil
 	}
 	b.units = kept
-	b.members.reserve(units)
 	for _, nu := range units {
-		if existing, ok := b.byID[nu.ID]; ok {
+		if nu.Prefix != nil && nu.Suffix != nil && b.cfg.Sessions != nil {
+			b.members.size(b.cfg.Sessions.Len())
+			break
+		}
+	}
+	for _, nu := range units {
+		if existing := b.unit(nu.ID); existing != nil {
 			// A changed slice fraction swaps partitions: the old one drains
 			// out (in-flight batches complete on it) while new batches run
 			// on the replacement.
@@ -368,7 +355,7 @@ func (b *Backend) Configure(units []Unit) error {
 		}); err != nil {
 			return fmt.Errorf("backend %s: %w", b.ID, err)
 		}
-		b.byID[nu.ID] = us
+		b.slotUnit[b.Slot(nu.ID)] = us
 		b.units = append(b.units, us)
 	}
 	b.rrIdx = 0
@@ -422,20 +409,21 @@ func (b *Backend) SliceStats() []SliceStat {
 	return out
 }
 
-// Enqueue adds a request to a unit's queue. It fails with ErrBackendDown
-// on a crashed node, ErrUnitRemoved when the unit does not exist here (a
-// reconfiguration race), and ErrQueueFull at a bounded queue's capacity —
-// all wrapped, so callers classify with errors.Is.
-func (b *Backend) Enqueue(unitID string, req Request) error {
+// Enqueue adds a request to the queue of the unit in a slot (see Slot). It
+// fails with ErrBackendDown on a crashed node, ErrUnitRemoved when no unit
+// has the slot's ID here (a reconfiguration race), and ErrQueueFull at a
+// bounded queue's capacity — all wrapped, so callers classify with
+// errors.Is.
+func (b *Backend) Enqueue(slot int, req Request) error {
 	if b.failed {
 		return fmt.Errorf("backend %s: %w", b.ID, ErrBackendDown)
 	}
-	u, ok := b.byID[unitID]
-	if !ok {
-		return fmt.Errorf("backend %s: unit %s: %w", b.ID, unitID, ErrUnitRemoved)
+	u := b.slotUnit[slot]
+	if u == nil {
+		return fmt.Errorf("backend %s: unit %s: %w", b.ID, b.slotID[slot], ErrUnitRemoved)
 	}
 	if b.cfg.MaxQueue > 0 && u.queue.Len() >= b.cfg.MaxQueue {
-		return fmt.Errorf("backend %s: unit %s: %w", b.ID, unitID, ErrQueueFull)
+		return fmt.Errorf("backend %s: unit %s: %w", b.ID, u.ID, ErrQueueFull)
 	}
 	u.queue.Push(req)
 	b.wake(u)
@@ -473,7 +461,7 @@ func (b *Backend) Fail() {
 		b.dev.Unload(u.ID)
 	}
 	b.units = nil
-	b.byID = make(map[string]*unitState)
+	clear(b.slotUnit)
 	b.rrIdx = 0
 	b.rrRunning = false
 }
@@ -507,11 +495,10 @@ func (b *Backend) Reset() {
 		b.dev.Unload(u.ID)
 	}
 	b.units = nil
-	b.byID = make(map[string]*unitState)
+	clear(b.slotUnit)
 	b.rrIdx = 0
 	b.lastGPUEnd = 0
 	b.batches, b.items = 0, 0
-	b.members.reset()
 }
 
 // StartHeartbeat begins emitting liveness beats every period on the
@@ -727,7 +714,10 @@ func (b *Backend) gpuTime(u *unitState, batch []Request) time.Duration {
 	}
 	m := &b.members
 	for _, r := range batch {
-		i := m.slotOf(r.Session)
+		i := r.SessionIndex
+		if int(i) >= len(m.count) {
+			m.size(int(i) + 1)
+		}
 		if m.count[i] == 0 {
 			m.touched = append(m.touched, i)
 		}

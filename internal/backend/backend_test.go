@@ -212,8 +212,8 @@ func testUnitProfile() *profiler.Profile {
 
 func (h *harness) run(rate float64, slo, horizon time.Duration, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	workload.Start(h.clock, rng, "s", slo, workload.Uniform{Rate: rate}, horizon, func(r workload.Request) {
-		if err := h.backend.Enqueue("u", r); err != nil {
+	workload.Start(h.clock, rng, "s", 0, slo, workload.Uniform{Rate: rate}, horizon, func(r workload.Request) {
+		if err := h.backend.Enqueue(h.backend.Slot("u"), r); err != nil {
 			panic(err)
 		}
 	})
@@ -297,8 +297,8 @@ func TestRoundRobinBeatsParallelInterference(t *testing.T) {
 		rng := rand.New(rand.NewSource(4))
 		for i := 0; i < 3; i++ {
 			uid := fmt.Sprintf("u%d", i)
-			workload.Start(h.clock, rng, uid, 100*time.Millisecond, workload.Uniform{Rate: 400}, 5*time.Second,
-				func(r workload.Request) { _ = h.backend.Enqueue(uid, r) })
+			workload.Start(h.clock, rng, uid, 0, 100*time.Millisecond, workload.Uniform{Rate: 400}, 5*time.Second,
+				func(r workload.Request) { _ = h.backend.Enqueue(h.backend.Slot(uid), r) })
 		}
 		h.clock.Run()
 		return h.good
@@ -324,8 +324,8 @@ func TestEarlyDropBeatsLazyUnderPoisson(t *testing.T) {
 			panic(err)
 		}
 		rng := rand.New(rand.NewSource(seed))
-		workload.Start(h.clock, rng, "s", 100*time.Millisecond, workload.Poisson{Rate: 1900}, 5*time.Second,
-			func(r workload.Request) { _ = h.backend.Enqueue("u", r) })
+		workload.Start(h.clock, rng, "s", 0, 100*time.Millisecond, workload.Poisson{Rate: 1900}, 5*time.Second,
+			func(r workload.Request) { _ = h.backend.Enqueue(h.backend.Slot("u"), r) })
 		h.clock.Run()
 		return h.good
 	}
@@ -360,7 +360,7 @@ func TestConfigureRemovalDropsQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Enqueue before the model finishes loading, then remove the unit.
-	_ = h.backend.Enqueue("u", mkReq(0, 0, time.Hour))
+	_ = h.backend.Enqueue(h.backend.Slot("u"), mkReq(0, 0, time.Hour))
 	if err := h.backend.Configure(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestConfigureKeepsExistingUnits(t *testing.T) {
 
 func TestEnqueueUnknownUnit(t *testing.T) {
 	h := newHarness(t, Config{}, gpusim.Exclusive)
-	if err := h.backend.Enqueue("ghost", mkReq(0, 0, time.Second)); err == nil {
+	if err := h.backend.Enqueue(h.backend.Slot("ghost"), mkReq(0, 0, time.Second)); err == nil {
 		t.Fatal("unknown unit accepted")
 	}
 }
@@ -407,7 +407,7 @@ func TestModelLoadDelaysServing(t *testing.T) {
 	h.backend.onDone = func(req Request, outcome Outcome, at time.Duration) {
 		completedAt = at
 	}
-	_ = h.backend.Enqueue("u", mkReq(0, 0, time.Hour))
+	_ = h.backend.Enqueue(h.backend.Slot("u"), mkReq(0, 0, time.Hour))
 	h.clock.Run()
 	loadTime := gpusim.LoadTime(p.MemBase + 4*p.MemPerItem)
 	if completedAt < loadTime {
@@ -440,7 +440,7 @@ func TestDeferDroppedServesLate(t *testing.T) {
 		// A burst far beyond what the 20ms SLO allows.
 		now := clock.Now()
 		for i := 0; i < 200; i++ {
-			_ = be.Enqueue("u", Request{ID: uint64(i), Session: "s", Arrival: now, Deadline: now + 20*time.Millisecond})
+			_ = be.Enqueue(be.Slot("u"), Request{ID: uint64(i), Session: "s", Arrival: now, Deadline: now + 20*time.Millisecond})
 		}
 		clock.Run()
 		return good, missed, dropped
@@ -478,7 +478,7 @@ func TestDeferredQueueBounded(t *testing.T) {
 	now := clock.Now()
 	// Far beyond the deferred bound: overflow must be really dropped.
 	for i := 0; i < 3*maxDeferred; i++ {
-		_ = be.Enqueue("u", Request{ID: uint64(i), Session: "s", Arrival: now, Deadline: now + time.Millisecond})
+		_ = be.Enqueue(be.Slot("u"), Request{ID: uint64(i), Session: "s", Arrival: now, Deadline: now + time.Millisecond})
 	}
 	clock.Run()
 	if dropped == 0 {
@@ -501,7 +501,7 @@ func TestConfigureRemovalDrainsDeferred(t *testing.T) {
 	}
 	// Not yet loaded: requests queue; hopeless deadlines will defer at pick
 	// time once loading completes — but remove the unit first.
-	_ = be.Enqueue("u", Request{ID: 1, Session: "s", Deadline: time.Millisecond})
+	_ = be.Enqueue(be.Slot("u"), Request{ID: 1, Session: "s", Deadline: time.Millisecond})
 	if err := be.Configure(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -526,8 +526,7 @@ func TestPrefixGroupPerMemberSuffixTiming(t *testing.T) {
 	comb.PreprocCPU, comb.PostprocCPU = 0, 0
 	if err := be.Configure([]Unit{{
 		ID: "g", Profile: comb, TargetBatch: 8,
-		Members: []string{"m0", "m1", "m2", "m3"},
-		Prefix:  &pre, Suffix: &suf,
+		Prefix: &pre, Suffix: &suf,
 	}}); err != nil {
 		t.Fatal(err)
 	}
@@ -539,11 +538,8 @@ func TestPrefixGroupPerMemberSuffixTiming(t *testing.T) {
 	// size plus one suffix per member PRESENT — not the planning profile's
 	// min(k, b)-member assumption.
 	for i := 0; i < 4; i++ {
-		sess := "m0"
-		if i%2 == 1 {
-			sess = "m1"
-		}
-		_ = be.Enqueue("g", Request{ID: uint64(i), Session: sess, Arrival: start, Deadline: start + time.Second})
+		_ = be.Enqueue(be.Slot("g"), Request{ID: uint64(i), Session: fmt.Sprintf("m%d", i%2), SessionIndex: int32(i % 2),
+			Arrival: start, Deadline: start + time.Second})
 	}
 	clock.Run()
 	if done != 4 {

@@ -10,6 +10,7 @@ import (
 	"nexus/internal/gpusim"
 	"nexus/internal/profiler"
 	"nexus/internal/simclock"
+	"nexus/internal/workload"
 )
 
 // requireFreeListZero fails unless every slice on q's batch free list is
@@ -46,7 +47,7 @@ func TestPropertyRecycleKeepsFreeListZero(t *testing.T) {
 		if err := be.Configure([]Unit{{ID: "u", Profile: p, TargetBatch: 8}}); err != nil {
 			t.Fatal(err)
 		}
-		u := be.byID["u"]
+		u := be.unit("u")
 		type held struct {
 			batch []Request
 			ids   []uint64
@@ -139,8 +140,9 @@ func TestPopNRecycleSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // refGPUTime is the map-based member count gpuTime used before its dense
-// slot scratch, kept as the reference the scratch must match exactly. It
-// also reports whether the combined-profile clamp decided the result.
+// scratch, keyed by session ID, kept as the reference the index-keyed
+// scratch must match exactly. It also reports whether the combined-profile
+// clamp decided the result.
 func refGPUTime(u *unitState, batch []Request) (total time.Duration, clamped bool) {
 	n := len(batch)
 	if u.Prefix == nil || u.Suffix == nil {
@@ -160,12 +162,14 @@ func refGPUTime(u *unitState, batch []Request) (total time.Duration, clamped boo
 	return total, false
 }
 
-// TestPropertyGPUTimeMatchesMapReference compares gpuTime's slot counting
-// with the map-based reference over random prefix-group batches: members
-// repeated within a batch, sessions outside the unit's Members (stale
-// requests after a regroup), units whose Members change when the same unit
-// ID is reconfigured, and a Reset followed by reuse. Totals must match
-// exactly, and every count must be back to zero after each batch.
+// TestPropertyGPUTimeMatchesMapReference compares gpuTime's counting by
+// session index with the reference keyed by session ID over random
+// prefix-group batches: members repeated within a batch, sessions outside
+// the group (stale requests after a regroup), sessions interned after the
+// last Configure (so the counts grow mid-batch), groups whose members change
+// when the same unit ID is reconfigured, and a Reset followed by reuse.
+// Totals must match exactly, and every count must be back to zero after
+// each batch.
 func TestPropertyGPUTimeMatchesMapReference(t *testing.T) {
 	base := testUnitProfile()
 	base.MaxBatch = 128
@@ -173,31 +177,33 @@ func TestPropertyGPUTimeMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	clock := simclock.New()
 	dev := gpusim.New(clock, "g", profiler.GTX1080Ti, gpusim.Exclusive)
-	be := New("b", clock, dev, Config{}, nil)
+	sessions := workload.NewSessions()
+	be := New("b", clock, dev, Config{Sessions: sessions}, nil)
 	session := func(i int) string { return fmt.Sprintf("sess-%d", i) }
+	request := func(id int, sid string) Request {
+		return Request{ID: uint64(id), Session: sid, SessionIndex: sessions.Intern(sid)}
+	}
 	unclamped, batches := 0, 0
 	for round := 0; round < 40; round++ {
 		if round%10 == 9 {
 			be.Reset()
-			if len(be.members.count) != 0 {
-				t.Fatalf("round %d: Reset kept %d session slots", round, len(be.members.count))
-			}
 		}
 		// Two groups under fixed IDs, with members redrawn every round
 		// from a pool larger than either group.
 		var units []Unit
+		members := map[string][]string{}
 		for g := 0; g < 2; g++ {
 			k := 1 + rng.Intn(12)
-			members := make([]string, k)
-			for i := range members {
-				members[i] = session(rng.Intn(30))
+			id := fmt.Sprintf("g%d", g)
+			for i := 0; i < k; i++ {
+				members[id] = append(members[id], session(rng.Intn(30)))
 			}
 			comb, err := profiler.CombinedProfile(base, 0.1, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			units = append(units, Unit{ID: fmt.Sprintf("g%d", g), Profile: comb,
-				TargetBatch: 8, Members: members, Prefix: &pre, Suffix: &suf})
+			units = append(units, Unit{ID: id, Profile: comb,
+				TargetBatch: 8, Prefix: &pre, Suffix: &suf})
 		}
 		units = append(units, Unit{ID: "plain", Profile: base, TargetBatch: 8})
 		if err := be.Configure(units); err != nil {
@@ -205,27 +211,28 @@ func TestPropertyGPUTimeMatchesMapReference(t *testing.T) {
 		}
 		for i := 0; i < 200; i++ {
 			u := be.units[rng.Intn(len(be.units))]
+			group := members[u.ID]
 			batch := make([]Request, 1+rng.Intn(base.MaxBatch))
 			for j := range batch {
 				s := u.ID
-				if len(u.Members) > 0 {
-					s = u.Members[rng.Intn(len(u.Members))]
+				if len(group) > 0 {
+					s = group[rng.Intn(len(group))]
 				}
-				batch[j] = Request{ID: uint64(j), Session: s}
+				batch[j] = request(j, s)
 			}
-			if len(u.Members) > 0 && rng.Intn(4) == 0 {
+			if len(group) > 0 && rng.Intn(4) == 0 {
 				// Stale requests from sessions that were never members.
 				for k := 1 + rng.Intn(3); k > 0; k-- {
-					batch[rng.Intn(len(batch))].Session = session(30 + rng.Intn(40))
+					batch[rng.Intn(len(batch))] = request(k, session(30+rng.Intn(40)))
 				}
 			}
 			want, clamped := refGPUTime(u, batch)
 			if got := be.gpuTime(u, batch); got != want {
 				t.Fatalf("round %d unit %s batch of %d: gpuTime %v, map reference %v", round, u.ID, len(batch), got, want)
 			}
-			for slot, c := range be.members.count {
+			for i, c := range be.members.count {
 				if c != 0 {
-					t.Fatalf("round %d: slot %d left at count %d after a batch", round, slot, c)
+					t.Fatalf("round %d: session index %d left at count %d after a batch", round, i, c)
 				}
 			}
 			if len(be.members.touched) != 0 {
@@ -246,8 +253,8 @@ func TestPropertyGPUTimeMatchesMapReference(t *testing.T) {
 }
 
 // TestGPUTimeZeroAlloc pins that counting a prefix group's members
-// allocates nothing, from the first batch on: Configure has already given
-// every member a slot.
+// allocates nothing, from the first batch on: Configure has already sized
+// the counts to the session table.
 func TestGPUTimeZeroAlloc(t *testing.T) {
 	base := testUnitProfile()
 	pre, suf := base.Split(0.9)
@@ -255,21 +262,24 @@ func TestGPUTimeZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sessions := workload.NewSessions()
 	members := make([]string, 20)
 	for i := range members {
 		members[i] = fmt.Sprintf("m%d", i)
+		sessions.Intern(members[i])
 	}
 	clock := simclock.New()
-	be := New("b", clock, gpusim.New(clock, "g", profiler.GTX1080Ti, gpusim.Exclusive), Config{}, nil)
+	be := New("b", clock, gpusim.New(clock, "g", profiler.GTX1080Ti, gpusim.Exclusive), Config{Sessions: sessions}, nil)
 	if err := be.Configure([]Unit{{ID: "g", Profile: comb, TargetBatch: 8,
-		Members: members, Prefix: &pre, Suffix: &suf}}); err != nil {
+		Prefix: &pre, Suffix: &suf}}); err != nil {
 		t.Fatal(err)
 	}
 	batch := make([]Request, base.MaxBatch)
 	for i := range batch {
-		batch[i] = Request{ID: uint64(i), Session: members[(i*7)%len(members)]}
+		m := (i * 7) % len(members)
+		batch[i] = Request{ID: uint64(i), Session: members[m], SessionIndex: int32(m)}
 	}
-	u := be.byID["g"]
+	u := be.unit("g")
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	be.gpuTime(u, batch)

@@ -52,7 +52,7 @@ func BenchmarkDispatchHotPath(b *testing.B) {
 // BenchmarkDispatchHotPathTraced replays the same steady-state wave with
 // the flight recorder's span sources attached — per-request Execute records
 // from the OnBatch hook and Complete/Drop records in the completion sink,
-// filled in place via the tracer's inlinable Reserve fast path — so the
+// each copied once into its ring slot by Record — so the
 // delta over BenchmarkDispatchHotPath is the full cost of always-on span
 // capture (dominated by the 136-byte event writes themselves). The CI gate
 // pins it to its recorded baseline and to zero allocations: capture cost
@@ -65,10 +65,10 @@ func BenchmarkDispatchHotPathTraced(b *testing.B) {
 	onBatch := func(backendID, unitID string, batch []Request, inc uint64, gpuTime time.Duration) {
 		at := clock.Now()
 		for i := range batch {
-			*tr.Reserve() = trace.Event{At: at, Kind: trace.Execute,
+			tr.Record(&trace.Event{At: at, Kind: trace.Execute,
 				ReqID: batch[i].ID, Session: batch[i].Session,
 				Backend: backendID, Unit: unitID,
-				Batch: len(batch), Dur: gpuTime, Inc: inc}
+				Batch: len(batch), Dur: gpuTime, Inc: inc})
 		}
 	}
 	done := func(req Request, outcome Outcome, at time.Duration) {
@@ -79,8 +79,8 @@ func BenchmarkDispatchHotPathTraced(b *testing.B) {
 			kind = trace.Drop
 			cause = outcome.String()
 		}
-		*tr.Reserve() = trace.Event{At: at, Kind: kind, ReqID: req.ID,
-			Session: req.Session, Dur: at - req.Arrival, Cause: cause}
+		tr.Record(&trace.Event{At: at, Kind: kind, ReqID: req.ID,
+			Session: req.Session, Dur: at - req.Arrival, Cause: cause})
 	}
 	be := New("b0", clock, dev,
 		Config{Overlap: true, Discipline: RoundRobin, OnBatch: onBatch}, done)
@@ -118,9 +118,15 @@ func BenchmarkPrefixGroupHotPath(b *testing.B) {
 	clock := simclock.New()
 	dev := gpusim.New(clock, "gpu0", profiler.GTX1080Ti, gpusim.Exclusive)
 	served := 0
-	be := New("b0", clock, dev, Config{Overlap: true, Discipline: RoundRobin},
-		func(req Request, outcome Outcome, at time.Duration) { served++ })
 	const members = 20
+	sessions := make([]string, members)
+	table := workload.NewSessions()
+	for i := range sessions {
+		sessions[i] = fmt.Sprintf("m%d", i)
+		table.Intern(sessions[i])
+	}
+	be := New("b0", clock, dev, Config{Overlap: true, Discipline: RoundRobin, Sessions: table},
+		func(req Request, outcome Outcome, at time.Duration) { served++ })
 	base := &profiler.Profile{
 		ModelID: "m", GPU: profiler.GTX1080Ti,
 		Alpha: 50 * time.Microsecond, Beta: time.Millisecond,
@@ -135,12 +141,8 @@ func BenchmarkPrefixGroupHotPath(b *testing.B) {
 		b.Fatalf("combined profile memoizes %d batch sizes, want >= 1024", comb.MemoBatches())
 	}
 	pre, suf := base.Split(0.9)
-	sessions := make([]string, members)
-	for i := range sessions {
-		sessions[i] = fmt.Sprintf("m%d", i)
-	}
 	if err := be.Configure([]Unit{{ID: "g", Profile: comb, TargetBatch: 32,
-		Members: sessions, Prefix: &pre, Suffix: &suf}}); err != nil {
+		Prefix: &pre, Suffix: &suf}}); err != nil {
 		b.Fatal(err)
 	}
 	clock.RunUntil(2 * time.Second) // model load
@@ -171,14 +173,15 @@ func newWave(b *testing.B, clock *simclock.Clock, be *Backend, unitID string, se
 	proc := workload.Uniform{Rate: rate}
 	var (
 		offsets []time.Duration
-		sess    []string
+		sess    []int32 // index into sessions, which is the session index
 	)
 	for t := proc.Interarrival(0, rng); t < time.Second; t += proc.Interarrival(t, rng) {
 		offsets = append(offsets, t)
-		sess = append(sess, sessions[pick.Intn(len(sessions))])
+		sess = append(sess, int32(pick.Intn(len(sessions))))
 	}
 
 	const slo = 100 * time.Millisecond
+	slot := be.Slot(unitID)
 	var (
 		start time.Duration
 		idx   int
@@ -187,7 +190,8 @@ func newWave(b *testing.B, clock *simclock.Clock, be *Backend, unitID string, se
 	)
 	pump = func() {
 		now := clock.Now()
-		if err := be.Enqueue(unitID, Request{ID: id, Session: sess[idx], Arrival: now, Deadline: now + slo}); err != nil {
+		if err := be.Enqueue(slot, Request{ID: id, Session: sessions[sess[idx]], SessionIndex: sess[idx],
+			Arrival: now, Deadline: now + slo}); err != nil {
 			b.Fatal(err)
 		}
 		id++

@@ -22,20 +22,20 @@ func TestEnqueueSentinelErrors(t *testing.T) {
 	h := newHarness(t, Config{Overlap: true, MaxQueue: 2}, gpusim.Exclusive)
 	configureUnit(t, h)
 	deadline := h.clock.Now() + time.Hour
-	if err := h.backend.Enqueue("ghost", Request{ID: 1, Deadline: deadline}); !errors.Is(err, ErrUnitRemoved) {
+	if err := h.backend.Enqueue(h.backend.Slot("ghost"), Request{ID: 1, Deadline: deadline}); !errors.Is(err, ErrUnitRemoved) {
 		t.Fatalf("unknown unit error = %v, want ErrUnitRemoved", err)
 	}
 	// Fill the bounded queue without letting the clock drain it (the first
 	// request may go straight to the GPU, so push until the bound bites).
 	var full error
 	for i := 0; i < 10 && full == nil; i++ {
-		full = h.backend.Enqueue("u", Request{ID: uint64(10 + i), Deadline: deadline})
+		full = h.backend.Enqueue(h.backend.Slot("u"), Request{ID: uint64(10 + i), Deadline: deadline})
 	}
 	if !errors.Is(full, ErrQueueFull) {
 		t.Fatalf("full queue error = %v, want ErrQueueFull", full)
 	}
 	h.backend.Fail()
-	if err := h.backend.Enqueue("u", Request{ID: 13, Deadline: deadline}); !errors.Is(err, ErrBackendDown) {
+	if err := h.backend.Enqueue(h.backend.Slot("u"), Request{ID: 13, Deadline: deadline}); !errors.Is(err, ErrBackendDown) {
 		t.Fatalf("dead backend error = %v, want ErrBackendDown", err)
 	}
 }
@@ -45,7 +45,7 @@ func TestFailDrainsQueueAsFailures(t *testing.T) {
 	configureUnit(t, h)
 	deadline := h.clock.Now() + time.Hour
 	for i := 0; i < 5; i++ {
-		if err := h.backend.Enqueue("u", Request{ID: uint64(i), Deadline: deadline}); err != nil {
+		if err := h.backend.Enqueue(h.backend.Slot("u"), Request{ID: uint64(i), Deadline: deadline}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -66,7 +66,7 @@ func TestStaleIncarnationCompletionsAreFailures(t *testing.T) {
 	h := newHarness(t, Config{Overlap: true}, gpusim.Exclusive)
 	configureUnit(t, h)
 	deadline := h.clock.Now() + time.Hour
-	if err := h.backend.Enqueue("u", Request{ID: 1, Deadline: deadline}); err != nil {
+	if err := h.backend.Enqueue(h.backend.Slot("u"), Request{ID: 1, Deadline: deadline}); err != nil {
 		t.Fatal(err)
 	}
 	// Let the batch reach the GPU, then crash mid-execution: the completion
@@ -90,14 +90,14 @@ func TestRestartRejoinsEmpty(t *testing.T) {
 	}
 	// A restarted node lost its units; it serves again only after the
 	// control plane reconfigures it.
-	if err := h.backend.Enqueue("u", Request{ID: 1, Deadline: time.Hour}); !errors.Is(err, ErrUnitRemoved) {
+	if err := h.backend.Enqueue(h.backend.Slot("u"), Request{ID: 1, Deadline: time.Hour}); !errors.Is(err, ErrUnitRemoved) {
 		t.Fatalf("enqueue after restart = %v, want ErrUnitRemoved", err)
 	}
 	if err := h.backend.Configure([]Unit{{ID: "u", Profile: testUnitProfile(), TargetBatch: 8}}); err != nil {
 		t.Fatal(err)
 	}
 	h.clock.RunUntil(h.clock.Now() + time.Second)
-	if err := h.backend.Enqueue("u", Request{ID: 2, Arrival: h.clock.Now(), Deadline: h.clock.Now() + time.Hour}); err != nil {
+	if err := h.backend.Enqueue(h.backend.Slot("u"), Request{ID: 2, Arrival: h.clock.Now(), Deadline: h.clock.Now() + time.Hour}); err != nil {
 		t.Fatal(err)
 	}
 	h.clock.Run()

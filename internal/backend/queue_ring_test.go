@@ -65,7 +65,7 @@ func TestRingGrowWhileWrapped(t *testing.T) {
 	// Advance head past the midpoint so subsequent pushes wrap.
 	popped := q.PopN(minQueueCap - 3)
 	q.Recycle(popped)
-	for i := 0; i < minQueueCap - 3; i++ { // refill: live region now wraps
+	for i := 0; i < minQueueCap-3; i++ { // refill: live region now wraps
 		q.Push(ringReq(id, 0))
 		id++
 	}

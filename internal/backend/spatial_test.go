@@ -41,8 +41,8 @@ func TestSpatialUnitsRunConcurrently(t *testing.T) {
 	}
 	clock.RunUntil(2 * time.Second) // model loads
 	now := clock.Now()
-	_ = be.Enqueue("u1", Request{ID: 1, Session: "a", Arrival: now, Deadline: now + time.Second})
-	_ = be.Enqueue("u2", Request{ID: 2, Session: "b", Arrival: now, Deadline: now + time.Second})
+	_ = be.Enqueue(be.Slot("u1"), Request{ID: 1, Session: "a", Arrival: now, Deadline: now + time.Second})
+	_ = be.Enqueue(be.Slot("u2"), Request{ID: 2, Session: "b", Arrival: now, Deadline: now + time.Second})
 	clock.Run()
 	if len(doneAt) != 2 {
 		t.Fatalf("completed %d requests, want 2", len(doneAt))

@@ -58,8 +58,10 @@ func BenchmarkSoakMillionSession(b *testing.B) {
 	// names are hoisted out of the timed region (string formatting is not
 	// the system under test).
 	names := make([]string, soakSessions)
+	sessions := workload.NewSessions()
 	for i := range names {
 		names[i] = fmt.Sprintf("s%07d", i)
+		sessions.Intern(names[i])
 	}
 
 	b.ReportAllocs()
@@ -83,7 +85,7 @@ func BenchmarkSoakMillionSession(b *testing.B) {
 			}
 			backends[beID] = be
 		}
-		fe := frontend.New(clock, backends, 500*time.Microsecond, nil)
+		fe := frontend.New(clock, backends, sessions, 500*time.Microsecond, nil)
 		clock.RunUntil(30 * time.Second) // model loads
 
 		// Control plane: builders assemble their session partitions in
@@ -125,7 +127,7 @@ func BenchmarkSoakMillionSession(b *testing.B) {
 			now := clock.Now()
 			for i := base; i < end; i++ {
 				fe.Dispatch(workload.Request{
-					ID: uint64(i), Session: names[i],
+					ID: uint64(i), Session: names[i], SessionIndex: int32(i),
 					Arrival: now, Deadline: now + 10*time.Second,
 				})
 			}

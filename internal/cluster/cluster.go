@@ -208,11 +208,20 @@ type Deployment struct {
 	rng      *rand.Rand
 	profiles map[string]*profiler.Profile
 	mdb      *model.DB
+	// sessions interns every session the deployment serves, standalone and
+	// query stage, when it is added; requests carry the index.
+	sessions *workload.Sessions
 
 	collecting bool
 	seq        uint64
+	// warmSeq is the last request ID issued before collection began (the
+	// maximum until then): a standalone request is warmup traffic exactly
+	// when its ID is at or below it.
+	warmSeq    uint64
 	queryTrack map[uint64]*queryInstance
-	queryMeta  map[string]*stageMeta // stage session ID -> meta
+	// stages holds the fan-out metadata of each query stage session, by
+	// session index (nil for standalone sessions).
+	stages []*stageMeta
 
 	loads      []sessionLoad
 	queryLoads []queryLoad
@@ -228,15 +237,6 @@ type Deployment struct {
 
 	// Query-level outcomes (end-to-end).
 	queryStats map[string]*metrics.SessionStats
-
-	// ignored marks in-flight requests issued during warmup so their
-	// completions do not pollute statistics.
-	ignored map[uint64]struct{}
-
-	// stageSessions marks per-stage query sessions, which are excluded
-	// from the end-to-end BadRate/Goodput (queries are counted once, as
-	// whole-query outcomes).
-	stageSessions map[string]bool
 
 	// unroutable counts requests dropped because no route or unit existed
 	// when they arrived (admission-control drops at the frontend).
@@ -260,22 +260,25 @@ type Deployment struct {
 }
 
 type sessionLoad struct {
-	spec globalsched.SessionSpec
-	proc workload.Process
+	spec  globalsched.SessionSpec
+	index int32
+	proc  workload.Process
 }
 
 type queryLoad struct {
 	spec globalsched.QuerySpec
+	root stageChild // the root stage, which every arrival invokes
 	proc workload.Process
 }
 
+// stageMeta is one query stage session's fan-out to its child stages.
 type stageMeta struct {
-	queryName string
-	children  []stageChild
+	children []stageChild
 }
 
 type stageChild struct {
 	session string
+	index   int32
 	gamma   float64
 	carry   float64 // fractional fan-out accumulator
 }
@@ -318,36 +321,34 @@ func New(cfg Config) (*Deployment, error) {
 		}
 	}
 	mdb := model.Catalog()
+	sessions := workload.NewSessions()
 	d := &Deployment{
-		Clock:         simclock.New(),
-		Recorder:      metrics.NewRecorder(),
-		cfg:           cfg,
-		rng:           rand.New(rand.NewSource(cfg.Seed)),
-		mdb:           mdb,
-		queryTrack:    make(map[uint64]*queryInstance),
-		queryMeta:     make(map[string]*stageMeta),
-		Arrivals:      metrics.NewTimeSeries(time.Second),
-		BadEvts:       metrics.NewTimeSeries(time.Second),
-		GoodEvts:      metrics.NewTimeSeries(time.Second),
-		GPUsUsed:      metrics.NewTimeSeries(time.Second),
-		queryStats:    make(map[string]*metrics.SessionStats),
-		ignored:       make(map[uint64]struct{}),
-		stageSessions: make(map[string]bool),
+		Clock:      simclock.New(),
+		Recorder:   metrics.NewRecorder(sessions),
+		cfg:        cfg,
+		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		mdb:        mdb,
+		sessions:   sessions,
+		warmSeq:    math.MaxUint64,
+		queryTrack: make(map[uint64]*queryInstance),
+		Arrivals:   metrics.NewTimeSeries(time.Second),
+		BadEvts:    metrics.NewTimeSeries(time.Second),
+		GoodEvts:   metrics.NewTimeSeries(time.Second),
+		GPUsUsed:   metrics.NewTimeSeries(time.Second),
+		queryStats: make(map[string]*metrics.SessionStats),
 	}
 	if cfg.TraceCapacity > 0 {
 		d.tracer = trace.New(cfg.TraceCapacity)
 		// Warmup traffic is excluded from metrics; filter it out of the
 		// trace too, so per-cause event counts reconcile exactly with the
-		// recorder. Standalone warmup requests sit in d.ignored while in
-		// flight; warmup query stages are tracked with a blank query name.
-		d.tracer.SetFilter(func(e trace.Event) bool {
-			if _, warm := d.ignored[e.ReqID]; warm {
-				return false
+		// recorder. Query stages are tracked while in flight, warmup ones
+		// with a blank query name; any other request is warmup exactly when
+		// its ID is at or below the watermark.
+		d.tracer.SetFilter(func(e *trace.Event) bool {
+			if qi, ok := d.queryTrack[e.ReqID]; ok {
+				return qi.queryName != ""
 			}
-			if qi, ok := d.queryTrack[e.ReqID]; ok && qi.queryName == "" {
-				return false
-			}
-			return true
+			return e.ReqID > d.warmSeq
 		})
 	}
 	if cfg.Audit {
@@ -372,11 +373,13 @@ func New(cfg Config) (*Deployment, error) {
 		return nil, err
 	}
 	beCfg, devMode := d.runtimeConfig()
+	beCfg.Sessions = sessions
 	if d.tracer != nil {
 		beCfg.OnBatch = func(backendID, unitID string, batch []backend.Request, inc uint64, gpuTime time.Duration) {
 			at := d.Clock.Now()
-			for _, r := range batch {
-				d.tracer.Record(trace.Event{
+			for i := range batch {
+				r := &batch[i]
+				d.tracer.Record(&trace.Event{
 					At: at, Kind: trace.Execute, ReqID: r.ID,
 					Session: r.Session, Backend: backendID, Unit: unitID,
 					Batch: len(batch), Dur: gpuTime, Inc: inc,
@@ -424,7 +427,7 @@ func New(cfg Config) (*Deployment, error) {
 		nFE = 1
 	}
 	for i := 0; i < nFE; i++ {
-		fe := frontend.New(d.Clock, d.Pool.backends, cfg.NetDelay, func(req workload.Request, reason backend.Outcome) {
+		fe := frontend.New(d.Clock, d.Pool.backends, sessions, cfg.NetDelay, func(req workload.Request, reason backend.Outcome) {
 			if reason == backend.DropUnroutable {
 				d.unroutable++
 			}
@@ -650,7 +653,7 @@ func (d *Deployment) AddSession(spec globalsched.SessionSpec, proc workload.Proc
 	if proc == nil {
 		proc = workload.Uniform{Rate: spec.ExpectedRate}
 	}
-	d.loads = append(d.loads, sessionLoad{spec: spec, proc: proc})
+	d.loads = append(d.loads, sessionLoad{spec: spec, index: d.sessions.Intern(spec.ID), proc: proc})
 	return nil
 }
 
@@ -663,28 +666,44 @@ func (d *Deployment) AddQuery(spec globalsched.QuerySpec, proc workload.Process)
 	if proc == nil {
 		proc = workload.Uniform{Rate: spec.ExpectedRate}
 	}
-	d.queryLoads = append(d.queryLoads, queryLoad{spec: spec, proc: proc})
-	d.indexQuery(spec)
+	d.queryLoads = append(d.queryLoads, queryLoad{spec: spec, root: d.indexQuery(spec), proc: proc})
 	return nil
 }
 
-// indexQuery records stage metadata for completion-driven fan-out.
-func (d *Deployment) indexQuery(spec globalsched.QuerySpec) {
+// indexQuery interns the query's stage sessions and records their metadata
+// for completion-driven fan-out. It returns the root stage.
+func (d *Deployment) indexQuery(spec globalsched.QuerySpec) stageChild {
 	q := spec.Query
-	var walk func(n *queryopt.Node)
-	walk = func(n *queryopt.Node) {
-		d.stageSessions[q.Name+"/"+n.Name] = true
-		meta := &stageMeta{queryName: q.Name}
-		for _, e := range n.Edges {
-			meta.children = append(meta.children, stageChild{
-				session: q.Name + "/" + e.Child.Name,
-				gamma:   e.Gamma,
-			})
-			walk(e.Child)
-		}
-		d.queryMeta[q.Name+"/"+n.Name] = meta
+	stage := func(n *queryopt.Node) stageChild {
+		sid := q.Name + "/" + n.Name
+		return stageChild{session: sid, index: d.sessions.Intern(sid)}
 	}
-	walk(q.Root)
+	var walk func(n *queryopt.Node, self stageChild)
+	walk = func(n *queryopt.Node, self stageChild) {
+		meta := &stageMeta{}
+		for _, e := range n.Edges {
+			child := stage(e.Child)
+			child.gamma = e.Gamma
+			meta.children = append(meta.children, child)
+			walk(e.Child, child)
+		}
+		if n := int(self.index) + 1; n > len(d.stages) {
+			d.stages = append(d.stages, make([]*stageMeta, n-len(d.stages))...)
+		}
+		d.stages[self.index] = meta
+	}
+	root := stage(q.Root)
+	walk(q.Root, root)
+	return root
+}
+
+// stage returns a session index's query stage metadata, or nil for a
+// standalone session.
+func (d *Deployment) stage(i int32) *stageMeta {
+	if uint(i) < uint(len(d.stages)) {
+		return d.stages[i]
+	}
+	return nil
 }
 
 // Run executes the deployment for the given duration of virtual time
@@ -697,20 +716,23 @@ func (d *Deployment) Run(duration time.Duration) (float64, error) {
 	d.Sched.Start()
 	horizon := d.cfg.Warmup + duration
 	// Statistics begin after warmup.
-	d.Clock.At(d.cfg.Warmup, func() { d.collecting = true })
+	d.Clock.At(d.cfg.Warmup, func() {
+		if !d.collecting {
+			d.collecting = true
+			d.warmSeq = d.seq
+		}
+	})
 	// Start generators (kept so fault injection can modulate their rates).
 	for _, l := range d.loads {
-		l := l
-		d.gens = append(d.gens, workload.Start(d.Clock, d.rng, l.spec.ID, l.spec.SLO, l.proc, horizon, func(r workload.Request) {
-			d.dispatchStandalone(r)
-		}))
+		d.gens = append(d.gens, workload.Start(d.Clock, d.rng, l.spec.ID, l.index, l.spec.SLO, l.proc, horizon, d.dispatchStandalone))
 	}
-	for _, ql := range d.queryLoads {
-		ql := ql
+	for i := range d.queryLoads {
+		ql := &d.queryLoads[i]
 		// The generator's SLO field is the whole-query SLO; per-stage
-		// deadlines are assigned at dispatch.
-		d.gens = append(d.gens, workload.Start(d.Clock, d.rng, ql.spec.Query.Name, ql.spec.Query.SLO, ql.proc, horizon, func(r workload.Request) {
-			d.startQuery(ql.spec, r)
+		// deadlines are assigned at dispatch. A query arrival names no
+		// session: each stage request is stamped when it is dispatched.
+		d.gens = append(d.gens, workload.Start(d.Clock, d.rng, ql.spec.Query.Name, -1, ql.spec.Query.SLO, ql.proc, horizon, func(r workload.Request) {
+			d.startQuery(ql, r)
 		}))
 	}
 	// GPU usage sampling.
@@ -759,11 +781,13 @@ func (d *Deployment) Goodput(measured time.Duration) float64 {
 }
 
 func (d *Deployment) totals() (sent, bad uint64) {
-	for _, sid := range d.Recorder.SessionIDs() {
-		if d.stageSessions[sid] {
+	// Query stage sessions are excluded: queries count once, as whole-query
+	// outcomes.
+	for k := 0; k < d.Recorder.NumSessions(); k++ {
+		sid, s := d.Recorder.Known(k)
+		if i, _ := d.sessions.Index(sid); d.stage(i) != nil {
 			continue
 		}
-		s := d.Recorder.Session(sid)
 		sent += s.Sent
 		bad += s.Bad()
 	}
@@ -806,18 +830,18 @@ func (d *Deployment) nextID() uint64 {
 	return d.seq
 }
 
+// dispatchStandalone sends one standalone request. A request dispatched
+// before collection begins is warmup traffic, in flight but never counted:
+// its ID stays at or below the watermark.
 func (d *Deployment) dispatchStandalone(r workload.Request) {
 	r.ID = d.nextID()
 	if d.collecting {
-		d.Recorder.Session(r.Session).Sent++
+		d.Recorder.At(r.SessionIndex).Sent++
 		d.Arrivals.Add(d.Clock.Now(), 1)
-	} else {
-		// Still count it as in-flight work but not in stats: mark by
-		// tracking zero; simplest is to tag via map of ignored IDs. Marked
-		// before recording, so the tracer's warmup filter sees it.
-		d.ignored[r.ID] = struct{}{}
 	}
-	d.tracer.Record(trace.Event{At: d.Clock.Now(), Kind: trace.Arrive, ReqID: r.ID, Session: r.Session})
+	if d.tracer != nil {
+		d.tracer.Record(&trace.Event{At: d.Clock.Now(), Kind: trace.Arrive, ReqID: r.ID, Session: r.Session})
+	}
 	d.dispatch(r)
 }
 
@@ -825,16 +849,15 @@ func (d *Deployment) dispatchStandalone(r workload.Request) {
 // frontend's drop path. beID names the backend that reported the outcome
 // ("" for frontend-side drops that never reached one).
 func (d *Deployment) requestDone(req workload.Request, outcome backend.Outcome, at time.Duration, beID string) {
-	if _, skip := d.ignored[req.ID]; skip {
-		delete(d.ignored, req.ID)
-		return
-	}
 	if qi, ok := d.queryTrack[req.ID]; ok {
 		delete(d.queryTrack, req.ID)
 		d.stageDone(qi, req, outcome, at, beID)
 		return
 	}
-	s := d.Recorder.Session(req.Session)
+	if req.ID <= d.warmSeq {
+		return // warmup traffic
+	}
+	s := d.Recorder.At(req.SessionIndex)
 	d.traceDone(req, outcome, at, beID)
 	bad := true
 	switch {
@@ -863,10 +886,10 @@ func (d *Deployment) traceDone(req workload.Request, outcome backend.Outcome, at
 		return
 	}
 	if outcome.Bad() {
-		d.tracer.Record(trace.Event{At: at, Kind: trace.Drop, ReqID: req.ID, Session: req.Session,
+		d.tracer.Record(&trace.Event{At: at, Kind: trace.Drop, ReqID: req.ID, Session: req.Session,
 			Backend: beID, Cause: outcome.String(), Dur: at - req.Arrival})
 	} else {
-		d.tracer.Record(trace.Event{At: at, Kind: trace.Complete, ReqID: req.ID, Session: req.Session,
+		d.tracer.Record(&trace.Event{At: at, Kind: trace.Complete, ReqID: req.ID, Session: req.Session,
 			Backend: beID, Dur: at - req.Arrival})
 	}
 }

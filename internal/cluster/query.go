@@ -4,16 +4,14 @@ import (
 	"time"
 
 	"nexus/internal/backend"
-	"nexus/internal/globalsched"
 	"nexus/internal/trace"
 	"nexus/internal/workload"
 )
 
 // startQuery begins one end-to-end query: dispatch the root stage and
 // track the instance until every spawned stage resolves.
-func (d *Deployment) startQuery(spec globalsched.QuerySpec, arrival workload.Request) {
-	q := spec.Query
-	rootSession := q.Name + "/" + q.Root.Name
+func (d *Deployment) startQuery(ql *queryLoad, arrival workload.Request) {
+	q := ql.spec.Query
 	qi := &queryInstance{
 		queryName:   q.Name,
 		deadline:    arrival.Arrival + q.SLO,
@@ -25,7 +23,7 @@ func (d *Deployment) startQuery(spec globalsched.QuerySpec, arrival workload.Req
 	} else {
 		qi.queryName = "" // warmup instance: not measured
 	}
-	d.dispatchStage(qi, rootSession)
+	d.dispatchStage(qi, &ql.root)
 }
 
 // dispatchStage sends one stage invocation of a query instance. The
@@ -34,18 +32,21 @@ func (d *Deployment) startQuery(spec globalsched.QuerySpec, arrival workload.Req
 // a stage invocation only when the query itself can no longer make it —
 // slack left over by fast upstream stages absorbs the bursts that
 // downstream stages see when a parent batch completes.
-func (d *Deployment) dispatchStage(qi *queryInstance, session string) {
+func (d *Deployment) dispatchStage(qi *queryInstance, stage *stageChild) {
 	req := workload.Request{
-		ID:       d.nextID(),
-		Session:  session,
-		Arrival:  d.Clock.Now(),
-		Deadline: qi.deadline,
+		ID:           d.nextID(),
+		Session:      stage.session,
+		Arrival:      d.Clock.Now(),
+		Deadline:     qi.deadline,
+		SessionIndex: stage.index,
 	}
 	// Track before recording: the tracer's warmup filter identifies warmup
 	// query stages through the tracking entry.
 	qi.outstanding++
 	d.queryTrack[req.ID] = qi
-	d.tracer.Record(trace.Event{At: d.Clock.Now(), Kind: trace.Arrive, ReqID: req.ID, Session: session})
+	if d.tracer != nil {
+		d.tracer.Record(&trace.Event{At: d.Clock.Now(), Kind: trace.Arrive, ReqID: req.ID, Session: stage.session})
+	}
 	d.dispatch(req)
 }
 
@@ -60,7 +61,7 @@ func (d *Deployment) stageDone(qi *queryInstance, req workload.Request, outcome 
 	}
 	// Per-stage accounting (stage sessions also show up in the recorder).
 	if qi.queryName != "" {
-		s := d.Recorder.Session(req.Session)
+		s := d.Recorder.At(req.SessionIndex)
 		s.Sent++
 		switch {
 		case lost:
@@ -79,11 +80,14 @@ func (d *Deployment) stageDone(qi *queryInstance, req workload.Request, outcome 
 	} else {
 		// Fan out to children; gamma is fractional, accumulated per stage
 		// via a deterministic carry so long-run fan-out matches exactly.
-		if meta, ok := d.queryMeta[req.Session]; ok {
+		if meta := d.stage(req.SessionIndex); meta != nil {
 			for ci := range meta.children {
-				n := d.fanOut(req.Session, ci)
+				c := &meta.children[ci]
+				c.carry += c.gamma
+				n := int(c.carry)
+				c.carry -= float64(n)
 				for k := 0; k < n; k++ {
-					d.dispatchStage(qi, meta.children[ci].session)
+					d.dispatchStage(qi, c)
 				}
 			}
 		}
@@ -94,17 +98,6 @@ func (d *Deployment) stageDone(qi *queryInstance, req workload.Request, outcome 
 	if qi.outstanding == 0 {
 		d.finishQuery(qi)
 	}
-}
-
-// fanOut returns how many child invocations this completion spawns,
-// carrying the fractional part forward deterministically.
-func (d *Deployment) fanOut(session string, childIdx int) int {
-	meta := d.queryMeta[session]
-	c := &meta.children[childIdx]
-	c.carry += c.gamma
-	n := int(c.carry)
-	c.carry -= float64(n)
-	return n
 }
 
 // finishQuery records the end-to-end outcome.

@@ -21,8 +21,9 @@ import (
 type telemetrySampler struct {
 	d *Deployment
 
+	// sessions holds one handle set per session the recorder knows, in
+	// the order it came to know them.
 	sessions  []*sessionInstr
-	sessionOf map[string]*sessionInstr
 	frontends []*frontendInstr
 	// backends holds every backend ever sampled, so a released or parked
 	// backend keeps exporting (zeroed) gauges instead of freezing at its
@@ -83,7 +84,6 @@ type sliceInstr struct {
 func newTelemetrySampler(d *Deployment) *telemetrySampler {
 	return &telemetrySampler{
 		d:         d,
-		sessionOf: make(map[string]*sessionInstr),
 		backendOf: make(map[string]*backendInstr),
 	}
 }
@@ -134,30 +134,27 @@ func (ts *telemetrySampler) sample() {
 	degraded := d.cfg.degraded()
 	ts.tick++
 
-	// Per-session outcome counters from the metrics recorder.
-	if d.Recorder.NumSessions() != len(ts.sessions) {
-		for _, sid := range d.Recorder.SessionIDs() {
-			if _, ok := ts.sessionOf[sid]; ok {
-				continue
-			}
-			h := &sessionInstr{
-				st:         d.Recorder.Session(sid),
-				sent:       reg.Counter("session_sent_total", "session", sid),
-				good:       reg.Counter("session_good_total", "session", sid),
-				bad:        reg.Counter("session_bad_total", "session", sid),
-				deadline:   reg.Counter("session_drops_total", "session", sid, "cause", "deadline"),
-				unroutable: reg.Counter("session_drops_total", "session", sid, "cause", "unroutable"),
-				reconfig:   reg.Counter("session_drops_total", "session", sid, "cause", "reconfig"),
-				overload:   reg.Counter("session_drops_total", "session", sid, "cause", "overload"),
-				failure:    reg.Counter("session_drops_total", "session", sid, "cause", "failure"),
-				late:       reg.Counter("session_late_total", "session", sid),
-			}
-			if degraded {
-				h.admission = reg.Counter("session_drops_total", "session", sid, "cause", "admission")
-			}
-			ts.sessionOf[sid] = h
-			ts.sessions = append(ts.sessions, h)
+	// Per-session outcome counters from the metrics recorder. The
+	// recorder lists sessions in the order it came to know them, so the
+	// new ones are those past the handles already resolved.
+	for k := len(ts.sessions); k < d.Recorder.NumSessions(); k++ {
+		sid, st := d.Recorder.Known(k)
+		h := &sessionInstr{
+			st:         st,
+			sent:       reg.Counter("session_sent_total", "session", sid),
+			good:       reg.Counter("session_good_total", "session", sid),
+			bad:        reg.Counter("session_bad_total", "session", sid),
+			deadline:   reg.Counter("session_drops_total", "session", sid, "cause", "deadline"),
+			unroutable: reg.Counter("session_drops_total", "session", sid, "cause", "unroutable"),
+			reconfig:   reg.Counter("session_drops_total", "session", sid, "cause", "reconfig"),
+			overload:   reg.Counter("session_drops_total", "session", sid, "cause", "overload"),
+			failure:    reg.Counter("session_drops_total", "session", sid, "cause", "failure"),
+			late:       reg.Counter("session_late_total", "session", sid),
 		}
+		if degraded {
+			h.admission = reg.Counter("session_drops_total", "session", sid, "cause", "admission")
+		}
+		ts.sessions = append(ts.sessions, h)
 	}
 	for _, h := range ts.sessions {
 		s := h.st

@@ -236,8 +236,9 @@ func dropPolicyBadRateTarget(rc *RunContext, policy backend.DropPolicy, p *profi
 	}
 	clock.RunUntil(2 * time.Second) // model load
 	rng := rand.New(rand.NewSource(seed))
-	workload.Start(clock, rng, "s", 100*time.Millisecond, proc, clock.Now()+horizon,
-		func(r workload.Request) { _ = be.Enqueue("u", r) })
+	slot := be.Slot("u")
+	workload.Start(clock, rng, "s", 0, 100*time.Millisecond, proc, clock.Now()+horizon,
+		func(r workload.Request) { _ = be.Enqueue(slot, r) })
 	clock.Run()
 	rc.AddEvents(clock.Executed())
 	total := good + miss + drop

@@ -16,10 +16,10 @@ func BenchmarkFlightTrigger(b *testing.B) {
 	const span = 20 * time.Second
 	tr := trace.New(ringCap)
 	for i := 0; i < ringCap; i++ {
-		*tr.Reserve() = trace.Event{
+		tr.Record(&trace.Event{
 			At: span * time.Duration(i) / ringCap, Kind: trace.Enqueue,
 			ReqID: uint64(i), Session: "s", Backend: "be0", Unit: "u0",
-		}
+		})
 	}
 	at := span
 	b.ReportAllocs()

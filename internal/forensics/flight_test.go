@@ -20,10 +20,10 @@ func alert(rule string) telemetry.Alert {
 func seededPlanes() (*trace.Tracer, *trace.Audit) {
 	tr := trace.New(64)
 	// Outside the [5s, 10s] window.
-	tr.Record(trace.Event{At: 2 * time.Second, Kind: trace.Arrive, ReqID: 1, Session: "s"})
+	tr.Record(&trace.Event{At: 2 * time.Second, Kind: trace.Arrive, ReqID: 1, Session: "s"})
 	// Inside.
-	tr.Record(trace.Event{At: 7 * time.Second, Kind: trace.Arrive, ReqID: 2, Session: "s"})
-	tr.Record(trace.Event{At: 8 * time.Second, Kind: trace.Complete, ReqID: 2, Session: "s"})
+	tr.Record(&trace.Event{At: 7 * time.Second, Kind: trace.Arrive, ReqID: 2, Session: "s"})
+	tr.Record(&trace.Event{At: 8 * time.Second, Kind: trace.Complete, ReqID: 2, Session: "s"})
 
 	audit := trace.NewAudit()
 	audit.RecordChaos(trace.ChaosRecord{AtMS: 1000, Kind: "outage", Backend: "be0", To: "down"})
@@ -149,10 +149,10 @@ func TestDumpsJSONLRoundTrip(t *testing.T) {
 func TestDumpWriteText(t *testing.T) {
 	tr, audit := seededPlanes()
 	// Give the captured spans a full attributable request.
-	tr.Record(trace.Event{At: 8500 * ms, Kind: trace.Arrive, ReqID: 9, Session: "s"})
-	tr.Record(trace.Event{At: 8600 * ms, Kind: trace.Enqueue, ReqID: 9, Session: "s", Backend: "be0", Unit: "u"})
-	tr.Record(trace.Event{At: 8700 * ms, Kind: trace.Execute, ReqID: 9, Session: "s", Backend: "be0", Unit: "u", Dur: 100 * ms, Inc: 1})
-	tr.Record(trace.Event{At: 8900 * ms, Kind: trace.Complete, ReqID: 9, Session: "s"})
+	tr.Record(&trace.Event{At: 8500 * ms, Kind: trace.Arrive, ReqID: 9, Session: "s"})
+	tr.Record(&trace.Event{At: 8600 * ms, Kind: trace.Enqueue, ReqID: 9, Session: "s", Backend: "be0", Unit: "u"})
+	tr.Record(&trace.Event{At: 8700 * ms, Kind: trace.Execute, ReqID: 9, Session: "s", Backend: "be0", Unit: "u", Dur: 100 * ms, Inc: 1})
+	tr.Record(&trace.Event{At: 8900 * ms, Kind: trace.Complete, ReqID: 9, Session: "s"})
 	r := New(Config{})
 	r.Trigger(10*time.Second, alert("slo-burn-rate"), tr, audit)
 

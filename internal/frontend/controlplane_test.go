@@ -38,7 +38,7 @@ func TestDispatchAgainstControlPlane(t *testing.T) {
 	)
 	clock, backends, _, _ := setup(t, 3)
 	var drops uint64
-	fe := New(clock, backends, 0, func(req workload.Request, reason backend.Outcome) { drops++ })
+	fe := New(clock, backends, testSessions(), 0, func(req workload.Request, reason backend.Outcome) { drops++ })
 	clock.RunUntil(5 * time.Second) // model loads
 	if err := fe.SetTableGen(churnTable(backends, sessions), 1); err != nil {
 		t.Fatal(err)
@@ -74,10 +74,10 @@ func TestDispatchAgainstControlPlane(t *testing.T) {
 			}
 			now := clock.Now()
 			for i := 0; i < perBurst; i++ {
-				fe.Dispatch(workload.Request{
+				fe.Dispatch(stamp(fe, workload.Request{
 					ID: sent, Session: fmt.Sprintf("s%02d", i%sessions),
 					Arrival: now, Deadline: now + time.Second,
-				})
+				}))
 				sent++
 			}
 		}

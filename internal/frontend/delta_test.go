@@ -37,7 +37,7 @@ func TestApplyDeltaSetRemove(t *testing.T) {
 
 // TestApplyDeltaCarriesCounts extends the SetTable/RemoveBackend carry-over
 // contract to deltas: in-window request counts survive both a route change
-// (Set) and a removal (residual window), so ObservedRates never loses
+// (Set) and a removal, so ObservedRates never loses
 // traffic across an incremental push.
 func TestApplyDeltaCarriesCounts(t *testing.T) {
 	clock, _, fe, _ := setup(t, 2)
@@ -51,8 +51,8 @@ func TestApplyDeltaCarriesCounts(t *testing.T) {
 	clock.RunUntil(time.Second)
 	fe.ObservedRates() // reset window
 	for i := 0; i < 40; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(i), Session: "s1", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
-		fe.Dispatch(workload.Request{ID: uint64(100 + i), Session: "s2", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(stamp(fe, workload.Request{ID: uint64(i), Session: "s1", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour}))
+		fe.Dispatch(stamp(fe, workload.Request{ID: uint64(100 + i), Session: "s2", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour}))
 	}
 	// Mid-window delta: s1's routes change, s2 is removed entirely.
 	err := fe.ApplyDelta(TableDelta{
@@ -64,7 +64,7 @@ func TestApplyDeltaCarriesCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(200 + i), Session: "s1", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(stamp(fe, workload.Request{ID: uint64(200 + i), Session: "s1", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour}))
 	}
 	clock.RunUntil(clock.Now() + 5*time.Second)
 	rates := fe.ObservedRates()
@@ -72,7 +72,7 @@ func TestApplyDeltaCarriesCounts(t *testing.T) {
 		t.Fatalf("s1 window count = %.1f, want 50 (carried across Set)", got)
 	}
 	if got := rates["s2"] * 5; got < 39.9 || got > 40.1 {
-		t.Fatalf("s2 window count = %.1f, want 40 (residual after Remove)", got)
+		t.Fatalf("s2 window count = %.1f, want 40 (kept after Remove)", got)
 	}
 }
 
@@ -91,7 +91,7 @@ func TestApplyDeltaPreservesUntouchedWRR(t *testing.T) {
 	if err := fe.SetTableGen(rt, 1); err != nil {
 		t.Fatal(err)
 	}
-	before := fe.state.sessions["s1"]
+	before := stateOf(fe, "s1")
 	counts := map[string]int{}
 	for i := 0; i < 2; i++ { // mid-cycle: accumulator holds credit
 		counts[before.pick().BackendID]++
@@ -103,7 +103,7 @@ func TestApplyDeltaPreservesUntouchedWRR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := fe.state.sessions["s1"]
+	after := stateOf(fe, "s1")
 	if after != before {
 		t.Fatal("untouched session's dispatch state was rebuilt by the delta")
 	}
@@ -235,10 +235,10 @@ func TestDispatchDuringDelta(t *testing.T) {
 		}
 		gen++
 		for j := 0; j < dispatches/deltas; j++ {
-			fe.Dispatch(workload.Request{
+			fe.Dispatch(stamp(fe, workload.Request{
 				ID: id, Session: fmt.Sprintf("s%d", id%2),
 				Arrival: clock.Now(), Deadline: clock.Now() + time.Hour,
-			})
+			}))
 			id++
 		}
 	}

@@ -18,12 +18,12 @@ func TestDispatchAfterTableSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.RunUntil(time.Second)
-	fe.Dispatch(workload.Request{ID: 1, Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+	fe.Dispatch(stamp(fe, workload.Request{ID: 1, Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour}))
 	// Swap the table to backend b; subsequent requests go there.
 	if err := fe.SetTable(RoutingTable{"s": {{BackendID: "b", UnitID: "u", Weight: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	fe.Dispatch(workload.Request{ID: 2, Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+	fe.Dispatch(stamp(fe, workload.Request{ID: 2, Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour}))
 	clock.Run()
 	if backends["a"].Device().BusyTime() == 0 || backends["b"].Device().BusyTime() == 0 {
 		t.Fatal("both backends should have served one request across the swap")
@@ -45,7 +45,7 @@ func TestDispatchToRemovedUnitCountsReconfigDrop(t *testing.T) {
 	if err := backends["a"].Configure(nil); err != nil {
 		t.Fatal(err)
 	}
-	fe.Dispatch(workload.Request{ID: 1, Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+	fe.Dispatch(stamp(fe, workload.Request{ID: 1, Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour}))
 	clock.Run()
 	if *dropped != 1 {
 		t.Fatalf("dropped = %d, want 1", *dropped)
@@ -63,10 +63,10 @@ func TestObservedRatesMultipleSessions(t *testing.T) {
 	clock.RunUntil(time.Second)
 	fe.ObservedRates()
 	for i := 0; i < 20; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(i), Session: "x", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(stamp(fe, workload.Request{ID: uint64(i), Session: "x", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour}))
 	}
 	for i := 0; i < 10; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(100 + i), Session: "y", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(stamp(fe, workload.Request{ID: uint64(100 + i), Session: "y", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour}))
 	}
 	clock.RunUntil(clock.Now() + 2*time.Second)
 	rates := fe.ObservedRates()
@@ -77,7 +77,7 @@ func TestObservedRatesMultipleSessions(t *testing.T) {
 
 func TestNegativeNetDelayUsesDefault(t *testing.T) {
 	_, _, _, _ = setup(t, 1) // ensure helpers compile
-	fe := New(nil, nil, -1, nil)
+	fe := New(nil, nil, testSessions(), -1, nil)
 	if fe.NetDelay() != DefaultNetDelay {
 		t.Fatalf("NetDelay = %v, want default", fe.NetDelay())
 	}
@@ -111,7 +111,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		}
 		backends[id] = be
 	}
-	fe := New(clock, backends, 0, nil)
+	fe := New(clock, backends, testSessions(), 0, nil)
 	clock.RunUntil(5 * time.Second)
 	if err := fe.SetTable(RoutingTable{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
@@ -124,7 +124,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	step := func() {
 		now := clock.Now()
 		for i := 0; i < 16; i++ {
-			fe.Dispatch(workload.Request{ID: id, Session: "s", Arrival: now, Deadline: now + time.Second})
+			fe.Dispatch(stamp(fe, workload.Request{ID: id, Session: "s", Arrival: now, Deadline: now + time.Second}))
 			id++
 		}
 		clock.Run()
@@ -148,5 +148,54 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, step); avg != 0 {
 		t.Fatalf("traced steady-state dispatch allocates %.1f times per 16-request step, want 0", avg)
+	}
+}
+
+// TestEnqueueRaceOutcomes pins what a request meets when its backend
+// changes between route resolution (Dispatch) and delivery (after the
+// network hop): a removed unit drops it as a reconfiguration race, a unit
+// removed and re-added under the same ID serves it, and a crashed backend
+// loses it as a failure — the outcomes an enqueue by unit ID gives, now
+// that routes carry a resolved unit slot instead.
+func TestEnqueueRaceOutcomes(t *testing.T) {
+	cases := []struct {
+		name string
+		race func(be *backend.Backend) error
+		want backend.Outcome
+	}{
+		{"unit removed", func(be *backend.Backend) error { return be.Configure(nil) }, backend.DropReconfig},
+		{"unit removed and re-added", func(be *backend.Backend) error {
+			if err := be.Configure(nil); err != nil {
+				return err
+			}
+			return be.Configure([]backend.Unit{{ID: "u", Profile: testProfile(), TargetBatch: 8}})
+		}, backend.OK},
+		{"backend failed", func(be *backend.Backend) error { be.Fail(); return nil }, backend.DropFailure},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			clock := simclock.New()
+			var got []backend.Outcome
+			record := func(_ workload.Request, o backend.Outcome) { got = append(got, o) }
+			dev := gpusim.New(clock, "gpu-a", profiler.GTX1080Ti, gpusim.Exclusive)
+			be := backend.New("a", clock, dev, backend.Config{Overlap: true},
+				func(r workload.Request, o backend.Outcome, _ time.Duration) { record(r, o) })
+			if err := be.Configure([]backend.Unit{{ID: "u", Profile: testProfile(), TargetBatch: 8}}); err != nil {
+				t.Fatal(err)
+			}
+			fe := New(clock, map[string]*backend.Backend{"a": be}, testSessions(), DefaultNetDelay, record)
+			if err := fe.SetTable(RoutingTable{"s": {{BackendID: "a", UnitID: "u", Weight: 1}}}); err != nil {
+				t.Fatal(err)
+			}
+			clock.RunUntil(time.Second) // model load
+			fe.Dispatch(stamp(fe, workload.Request{ID: 1, Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour}))
+			if err := c.race(be); err != nil {
+				t.Fatal(err)
+			}
+			clock.Run()
+			if len(got) != 1 || got[0] != c.want {
+				t.Fatalf("outcomes %v, want [%v]", got, c.want)
+			}
+		})
 	}
 }

@@ -31,7 +31,7 @@ func TestWRRResetOnTableUpdate(t *testing.T) {
 	}
 	// Park the accumulator mid-cycle so backend b holds stale credit.
 	for i := 0; i < 3; i++ {
-		fe.state.sessions["s"].pick()
+		stateOf(fe, "s").pick()
 	}
 	if err := fe.SetTable(RoutingTable{"s": {
 		{BackendID: "a", UnitID: "u", Weight: 1},
@@ -41,7 +41,7 @@ func TestWRRResetOnTableUpdate(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for i := 0; i < 100; i++ {
-		counts[fe.state.sessions["s"].pick().BackendID]++
+		counts[stateOf(fe, "s").pick().BackendID]++
 	}
 	if counts["a"] != 50 || counts["b"] != 50 {
 		t.Fatalf("picks after table swap = %v, want an exact 50/50 split", counts)
@@ -80,7 +80,7 @@ func TestRemoveBackendCopyOnWrite(t *testing.T) {
 	shared := RoutingTable{
 		"s": {{BackendID: "a", UnitID: "u", Weight: 1}, {BackendID: "b", UnitID: "u", Weight: 1}},
 	}
-	fe2 := New(nil, backends, 0, nil)
+	fe2 := New(nil, backends, testSessions(), 0, nil)
 	if err := fe1.SetTable(shared); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRetryReroutesAroundDeadBackend(t *testing.T) {
 	// finds it dead at enqueue and must fail over to b.
 	backends["a"].Fail()
 	for i := 0; i < 2; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(i), Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(stamp(fe, workload.Request{ID: uint64(i), Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour}))
 	}
 	clock.Run()
 	if *dropped != 0 {
@@ -138,11 +138,11 @@ func TestRetryRespectsDeadline(t *testing.T) {
 	backends["b"].Fail()
 	// Both replicas dead: the retry path has no live alternative, so each
 	// dispatch is dropped exactly once (no retry ping-pong).
-	fe.Dispatch(workload.Request{ID: 1, Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+	fe.Dispatch(stamp(fe, workload.Request{ID: 1, Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour}))
 	// A request with no deadline room must not be retried even when a live
 	// replica exists.
 	backends["b"].Restart()
-	fe.Dispatch(workload.Request{ID: 2, Session: "s", Arrival: clock.Now(), Deadline: clock.Now()})
+	fe.Dispatch(stamp(fe, workload.Request{ID: 2, Session: "s", Arrival: clock.Now(), Deadline: clock.Now()}))
 	clock.Run()
 	if *dropped != 2 {
 		t.Fatalf("dropped = %d, want 2", *dropped)

@@ -76,39 +76,49 @@ var ErrStaleDelta = errors.New("frontend: delta generation mismatch, full resync
 // token-bucket admission control before routing).
 type DropFunc func(req workload.Request, reason backend.Outcome)
 
-// resolvedRoute is a Route with its backend pointer resolved at table-push
-// time, so the per-request send path does not look the backend up by ID.
+// resolvedRoute is a Route with its backend pointer and unit slot resolved
+// at table-push time, so the per-request send path hashes neither ID.
 type resolvedRoute struct {
 	Route
-	be *backend.Backend
+	be   *backend.Backend
+	slot int
 }
 
-// sessionState is the per-session dispatch state: resolved routes, the
-// smooth-WRR accumulator, and the rate counter. Collapsing these into one
-// struct makes Dispatch a single map lookup per request. Routes are written
-// only when the state is created; a table mutation carries the count over.
+// sessionState is the per-session dispatch state: resolved routes and the
+// smooth-WRR accumulator. Routes are written only when the state is
+// created.
 type sessionState struct {
 	routes []resolvedRoute
 	wrr    []float64
-	count  uint64
 }
 
 // tableState is the routing snapshot the dispatch path reads: the table,
-// its resolved per-session dispatch state, and the control-plane
-// generation it corresponds to. Mutations (SetTable, ApplyDelta,
-// RemoveBackend) build a fresh snapshot instead of editing in place,
-// because the RoutingTable passed to SetTableGen may be shared with other
-// frontend replicas.
+// its resolved dispatch state per session index (nil for a session without
+// routes), and the control-plane generation it corresponds to. Mutations
+// (SetTable, ApplyDelta, RemoveBackend) build a fresh snapshot instead of
+// editing in place, because the RoutingTable passed to SetTableGen may be
+// shared with other frontend replicas.
 type tableState struct {
 	table    RoutingTable
-	sessions map[string]*sessionState
+	sessions []*sessionState
 	gen      uint64
+}
+
+// session returns the dispatch state of a session index, or nil.
+func (ts *tableState) session(i int32) *sessionState {
+	if uint(i) < uint(len(ts.sessions)) {
+		return ts.sessions[i]
+	}
+	return nil
 }
 
 // Frontend dispatches requests to backends.
 type Frontend struct {
 	clock    *simclock.Clock
 	backends map[string]*backend.Backend
+	// sessions is the deployment's session table: table pushes translate
+	// session IDs to the indices requests carry.
+	sessions *workload.Sessions
 	netDelay time.Duration
 	// extraDelay models an injected network-delay spike on every hop.
 	extraDelay time.Duration
@@ -130,11 +140,10 @@ type Frontend struct {
 	// entered the target unit's queue after the network hop) span events.
 	tracer *trace.Tracer
 
-	// Rate observation for the control plane. Live sessions count in their
-	// sessionState; residual holds counts of sessions whose
-	// routes were removed mid-window, so their traffic still shows in
-	// ObservedRates.
-	residual   map[string]uint64
+	// Rate observation for the control plane: routed requests per session
+	// index since windowFrom. Counts live outside the routing snapshot, so
+	// a session whose routes change or vanish mid-window keeps its count.
+	counts     []uint64
 	windowFrom time.Duration
 
 	// sendPool recycles in-flight send state (and its bound delivery
@@ -202,7 +211,7 @@ func (p *pendingSend) deliver() {
 		// from this side: the dispatch is lost.
 		err = backend.ErrBackendDown
 	default:
-		err = r.be.Enqueue(r.UnitID, req)
+		err = r.be.Enqueue(r.slot, req)
 	}
 	switch {
 	case err == nil:
@@ -211,7 +220,7 @@ func (p *pendingSend) deliver() {
 		}
 		if f.tracer != nil {
 			now := f.clock.Now()
-			f.tracer.Record(trace.Event{
+			f.tracer.Record(&trace.Event{
 				At: now, Kind: trace.Enqueue, ReqID: req.ID,
 				Session: req.Session, Backend: r.BackendID, Unit: r.UnitID,
 				Dur: now - req.Arrival,
@@ -235,7 +244,7 @@ func (p *pendingSend) deliver() {
 		// deadline both have room. A zero backoff re-sends inline.
 		if attempt <= f.retryBudget {
 			backoff := f.retryBase << (attempt - 1)
-			if alt, ok := f.altRoute(req.Session, r.BackendID); ok &&
+			if alt, ok := f.altRoute(req.SessionIndex, r.BackendID); ok &&
 				req.Deadline-f.clock.Now() > backoff+f.netDelay+f.extraDelay {
 				f.retries++
 				next := attempt + 1
@@ -259,20 +268,22 @@ const DefaultNetDelay = 500 * time.Microsecond
 // network-delay window; past it the pool grows one object at a time.
 const sendArenaSize = 64
 
-// New creates a frontend over the given backends. netDelay < 0 uses the
-// default; 0 is allowed (ideal network).
-func New(clock *simclock.Clock, backends map[string]*backend.Backend, netDelay time.Duration,
-	onDrop DropFunc) *Frontend {
+// New creates a frontend over the given backends, routing the sessions of
+// the given table: a routed session must be interned in it before its
+// routes are pushed. netDelay < 0 uses the default; 0 is allowed (ideal
+// network).
+func New(clock *simclock.Clock, backends map[string]*backend.Backend, sessions *workload.Sessions,
+	netDelay time.Duration, onDrop DropFunc) *Frontend {
 	if netDelay < 0 {
 		netDelay = DefaultNetDelay
 	}
 	f := &Frontend{
 		clock:    clock,
 		backends: backends,
+		sessions: sessions,
 		netDelay: netDelay,
 		onDrop:   onDrop,
-		residual: make(map[string]uint64),
-		state:    &tableState{table: RoutingTable{}, sessions: make(map[string]*sessionState)},
+		state:    &tableState{table: RoutingTable{}},
 	}
 	// Request-callback arena: one block, bound callbacks included, so the
 	// network hop never allocates while the in-flight window stays within
@@ -322,25 +333,9 @@ func (f *Frontend) SetTableGen(rt RoutingTable, gen uint64) error {
 			}
 		}
 	}
-	cur := f.state
-	sessions := make(map[string]*sessionState, len(rt))
+	sessions := f.newSessions(nil)
 	for sid, routes := range rt {
-		st := &sessionState{routes: f.resolve(routes), wrr: make([]float64, len(routes))}
-		// Rate counts survive table pushes: the count is keyed by session,
-		// not by its routes.
-		if old, ok := cur.sessions[sid]; ok {
-			st.count = old.count
-		} else if n, ok := f.residual[sid]; ok {
-			st.count = n
-			delete(f.residual, sid)
-		}
-		sessions[sid] = st
-	}
-	// Sessions dropped from the table keep their window counts.
-	for sid, st := range cur.sessions {
-		if _, ok := sessions[sid]; !ok && st.count > 0 {
-			f.residual[sid] += st.count
-		}
+		f.setRoutes(sessions, sid, routes)
 	}
 	f.state = &tableState{table: rt, sessions: sessions, gen: gen}
 	f.tableVersion++
@@ -348,12 +343,32 @@ func (f *Frontend) SetTableGen(rt RoutingTable, gen uint64) error {
 	return nil
 }
 
+// newSessions returns dispatch state for every interned session, copied
+// from cur, and sizes the rate counts to match.
+func (f *Frontend) newSessions(cur []*sessionState) []*sessionState {
+	n := f.sessions.Len()
+	if n > len(f.counts) {
+		f.counts = append(f.counts, make([]uint64, n-len(f.counts))...)
+	}
+	sessions := make([]*sessionState, n)
+	copy(sessions, cur)
+	return sessions
+}
+
+// setRoutes gives a session fresh dispatch state over routes. A session
+// the table never interned carries no requests and gets none.
+func (f *Frontend) setRoutes(sessions []*sessionState, sid string, routes []Route) {
+	if i, ok := f.sessions.Index(sid); ok {
+		sessions[i] = &sessionState{routes: f.resolve(routes), wrr: make([]float64, len(routes))}
+	}
+}
+
 // ApplyDelta applies an incremental routing update on top of the current
 // table. Sessions untouched by the delta keep their dispatch state —
 // including the smooth-WRR accumulator, so an unchanged session's replica
 // split is not perturbed by other sessions' route changes. Changed sessions
-// get fresh state with their rate count carried over; removed sessions move
-// their count to the residual window. A generation mismatch (missed push,
+// get fresh state; rate counts are per session, not per route, so every
+// session keeps its window count. A generation mismatch (missed push,
 // or local route repair after a backend death) returns ErrStaleDelta
 // without touching anything; the caller resyncs with SetTableGen.
 func (f *Frontend) ApplyDelta(d TableDelta) error {
@@ -375,29 +390,16 @@ func (f *Frontend) ApplyDelta(d TableDelta) error {
 	for sid, routes := range cur.table {
 		table[sid] = routes
 	}
-	sessions := make(map[string]*sessionState, len(cur.sessions)+len(d.Set))
-	for sid, st := range cur.sessions {
-		sessions[sid] = st
-	}
+	sessions := f.newSessions(cur.sessions)
 	for _, sid := range d.Remove {
 		delete(table, sid)
-		if st, ok := sessions[sid]; ok {
-			if st.count > 0 {
-				f.residual[sid] += st.count
-			}
-			delete(sessions, sid)
+		if i, ok := f.sessions.Index(sid); ok {
+			sessions[i] = nil
 		}
 	}
 	for sid, routes := range d.Set {
 		table[sid] = routes
-		st := &sessionState{routes: f.resolve(routes), wrr: make([]float64, len(routes))}
-		if old, ok := sessions[sid]; ok {
-			st.count = old.count
-		} else if n, ok := f.residual[sid]; ok {
-			st.count = n
-			delete(f.residual, sid)
-		}
-		sessions[sid] = st
+		f.setRoutes(sessions, sid, routes)
 	}
 	f.state = &tableState{table: table, sessions: sessions, gen: d.Gen}
 	f.tableVersion++
@@ -410,12 +412,13 @@ func (f *Frontend) ApplyDelta(d TableDelta) error {
 // plane's sequence, which is what makes the next delta detectably stale.
 func (f *Frontend) Generation() uint64 { return f.state.gen }
 
-// resolve caches the backend pointer of each route. Callers have already
-// validated that every target exists.
+// resolve caches the backend pointer and unit slot of each route. Callers
+// have already validated that every target exists.
 func (f *Frontend) resolve(routes []Route) []resolvedRoute {
 	out := make([]resolvedRoute, len(routes))
 	for i, r := range routes {
-		out[i] = resolvedRoute{Route: r, be: f.backends[r.BackendID]}
+		be := f.backends[r.BackendID]
+		out[i] = resolvedRoute{Route: r, be: be, slot: be.Slot(r.UnitID)}
 	}
 	return out
 }
@@ -434,8 +437,8 @@ func (f *Frontend) Dispatch(req workload.Request) {
 		f.drop(req, backend.DropAdmission)
 		return
 	}
-	st, ok := f.state.sessions[req.Session]
-	if !ok || len(st.routes) == 0 {
+	st := f.state.session(req.SessionIndex)
+	if st == nil {
 		f.drop(req, backend.DropUnroutable)
 		return
 	}
@@ -460,10 +463,10 @@ func (f *Frontend) Dispatch(req workload.Request) {
 	} else {
 		r = st.pick()
 	}
-	st.count++
+	f.counts[req.SessionIndex]++
 	f.dispatches++
 	if f.tracer != nil {
-		f.tracer.Record(trace.Event{
+		f.tracer.Record(&trace.Event{
 			At: f.clock.Now(), Kind: trace.Route, ReqID: req.ID,
 			Session: req.Session, Backend: r.BackendID, Unit: r.UnitID,
 		})
@@ -492,8 +495,8 @@ func (f *Frontend) send(req workload.Request, r resolvedRoute, attempt int) {
 // altRoute returns the session's first route to a reachable backend other
 // than the one that just failed: alive, not behind a cut data link, and
 // (when breakers are on) not breaker-open.
-func (f *Frontend) altRoute(session, exclude string) (resolvedRoute, bool) {
-	if st, ok := f.state.sessions[session]; ok {
+func (f *Frontend) altRoute(session int32, exclude string) (resolvedRoute, bool) {
+	if st := f.state.session(session); st != nil {
 		for _, r := range st.routes {
 			if r.BackendID == exclude {
 				continue
@@ -553,28 +556,17 @@ func (f *Frontend) RemoveBackend(beID string) int {
 			for s, rs := range cur.table {
 				repaired[s] = rs
 			}
-			sessions = make(map[string]*sessionState, len(cur.sessions))
-			for s, st := range cur.sessions {
-				sessions[s] = st
-			}
+			sessions = f.newSessions(cur.sessions)
 		}
 		affected++
-		st := sessions[sid]
 		if len(keep) == 0 {
 			delete(repaired, sid)
-			if st != nil {
-				if st.count > 0 {
-					f.residual[sid] += st.count
-				}
-				delete(sessions, sid)
+			if i, ok := f.sessions.Index(sid); ok {
+				sessions[i] = nil
 			}
 		} else {
 			repaired[sid] = keep
-			fresh := &sessionState{routes: f.resolve(keep), wrr: make([]float64, len(keep))}
-			if st != nil {
-				fresh.count = st.count
-			}
-			sessions[sid] = fresh
+			f.setRoutes(sessions, sid, keep)
 		}
 	}
 	if repaired != nil {
@@ -624,21 +616,14 @@ func (st *sessionState) pick() resolvedRoute {
 // call, then resets the window. This feeds epoch scheduling ("load
 // statistics from the runtime", §5).
 func (f *Frontend) ObservedRates() map[string]float64 {
-	cur := f.state
 	elapsed := (f.clock.Now() - f.windowFrom).Seconds()
-	rates := make(map[string]float64, len(cur.sessions)+len(f.residual))
-	for sid, st := range cur.sessions {
-		if n := st.count; n > 0 && elapsed > 0 {
-			rates[sid] = float64(n) / elapsed
-		}
-		st.count = 0
-	}
-	if elapsed > 0 {
-		for sid, n := range f.residual {
-			rates[sid] = float64(n) / elapsed
+	rates := make(map[string]float64)
+	for i, n := range f.counts {
+		if n > 0 && elapsed > 0 {
+			rates[f.sessions.ID(int32(i))] = float64(n) / elapsed
 		}
 	}
-	f.residual = make(map[string]uint64)
+	clear(f.counts)
 	f.windowFrom = f.clock.Now()
 	return rates
 }

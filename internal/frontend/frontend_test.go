@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -20,6 +21,39 @@ func testProfile() *profiler.Profile {
 	}
 }
 
+// testSessions is the session table of the package's tests. It interns
+// every session ID the tests route up front, as a deployment interns its
+// sessions before the control plane pushes any routes.
+func testSessions() *workload.Sessions {
+	s := workload.NewSessions()
+	for _, id := range []string{"s", "s0", "s1", "s2", "s3", "x", "y", "lo", "hi", "both", "only-a", "only-c"} {
+		s.Intern(id)
+	}
+	for i := 0; i < 100; i++ {
+		s.Intern(fmt.Sprintf("s%02d", i))
+	}
+	return s
+}
+
+// stamp sets r's session index from fe's session table, as a generator
+// does; a session the table never interned gets an index no table routes.
+func stamp(fe *Frontend, r workload.Request) workload.Request {
+	r.SessionIndex = -1
+	if i, ok := fe.sessions.Index(r.Session); ok {
+		r.SessionIndex = i
+	}
+	return r
+}
+
+// stateOf returns the dispatch state of a session in fe's current routing
+// snapshot, or nil.
+func stateOf(fe *Frontend, sid string) *sessionState {
+	if i, ok := fe.sessions.Index(sid); ok {
+		return fe.state.session(i)
+	}
+	return nil
+}
+
 func setup(t *testing.T, nBackends int) (*simclock.Clock, map[string]*backend.Backend, *Frontend, *int) {
 	t.Helper()
 	clock := simclock.New()
@@ -34,7 +68,7 @@ func setup(t *testing.T, nBackends int) (*simclock.Clock, map[string]*backend.Ba
 		backends[id] = be
 	}
 	dropped := 0
-	fe := New(clock, backends, 0, func(req workload.Request, reason backend.Outcome) { dropped++ })
+	fe := New(clock, backends, testSessions(), 0, func(req workload.Request, reason backend.Outcome) { dropped++ })
 	return clock, backends, fe, &dropped
 }
 
@@ -66,7 +100,7 @@ func TestSetTableUnknownBackend(t *testing.T) {
 
 func TestDispatchUnroutable(t *testing.T) {
 	clock, _, fe, unroutable := setup(t, 1)
-	fe.Dispatch(workload.Request{Session: "ghost", Deadline: time.Second})
+	fe.Dispatch(stamp(fe, workload.Request{Session: "ghost", Deadline: time.Second}))
 	clock.Run()
 	if *unroutable != 1 {
 		t.Fatalf("unroutable = %d, want 1", *unroutable)
@@ -79,7 +113,7 @@ func TestDispatchReachesBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.RunUntil(time.Second) // let the model load
-	fe.Dispatch(workload.Request{Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+	fe.Dispatch(stamp(fe, workload.Request{Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour}))
 	clock.Run()
 	if backends["a"].AvgBatchSize() == 0 {
 		t.Fatal("request never executed on backend")
@@ -96,7 +130,7 @@ func TestWeightedSpread(t *testing.T) {
 	}
 	clock.RunUntil(time.Second)
 	for i := 0; i < 400; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(i), Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(stamp(fe, workload.Request{ID: uint64(i), Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour}))
 	}
 	clock.Run()
 	// The weight-3 backend should do roughly 3x the GPU work.
@@ -117,7 +151,7 @@ func TestSmoothWRRExactProportions(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for i := 0; i < 400; i++ {
-		r := fe.state.sessions["s"].pick()
+		r := stateOf(fe, "s").pick()
 		counts[r.BackendID]++
 	}
 	if counts["a"] != 300 || counts["b"] != 100 {
@@ -133,7 +167,7 @@ func TestObservedRates(t *testing.T) {
 	clock.RunUntil(time.Second)
 	fe.ObservedRates() // reset window
 	for i := 0; i < 50; i++ {
-		fe.Dispatch(workload.Request{ID: uint64(i), Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour})
+		fe.Dispatch(stamp(fe, workload.Request{ID: uint64(i), Session: "s", Arrival: clock.Now(), Deadline: clock.Now() + time.Hour}))
 	}
 	clock.RunUntil(clock.Now() + 5*time.Second)
 	rates := fe.ObservedRates()

@@ -1117,7 +1117,6 @@ func (s *Scheduler) unitsFor(g *scheduler.GPUPlan) ([]backend.Unit, error) {
 			ID:          a.SessionID,
 			Profile:     p,
 			TargetBatch: a.Batch,
-			Members:     s.groups[a.SessionID],
 		}
 		if a.Slice > 0 {
 			// Spatial placement: the unit runs pinned to a compute slice.

@@ -75,19 +75,23 @@ func (p *fakePool) InUse() int                     { return len(p.inUse) }
 func (p *fakePool) Capacity() int                  { return p.capacity }
 
 type env struct {
-	clock   *simclock.Clock
-	pool    *fakePool
-	fe      *frontend.Frontend
-	sched   *Scheduler
-	mdb     *model.DB
-	good    int
-	missed  int
-	dropped int
+	clock *simclock.Clock
+	pool  *fakePool
+	// sessions is the frontend's session table. A test that sends traffic
+	// interns its sessions before the epoch that routes them, as a
+	// deployment does when sessions are added.
+	sessions *workload.Sessions
+	fe       *frontend.Frontend
+	sched    *Scheduler
+	mdb      *model.DB
+	good     int
+	missed   int
+	dropped  int
 }
 
 func newEnv(t *testing.T, cfg Config, poolSize int) *env {
 	t.Helper()
-	e := &env{clock: simclock.New()}
+	e := &env{clock: simclock.New(), sessions: workload.NewSessions()}
 	onDone := func(req backend.Request, outcome backend.Outcome, at time.Duration) {
 		switch {
 		case outcome.Bad():
@@ -115,7 +119,7 @@ func newEnv(t *testing.T, cfg Config, poolSize int) *env {
 	}
 	// Backends map is filled lazily by the pool; the frontend needs a live
 	// view, so share the pool's inUse map.
-	e.fe = frontend.New(e.clock, poolBackends(e.pool), 0,
+	e.fe = frontend.New(e.clock, poolBackends(e.pool), e.sessions, 0,
 		func(req workload.Request, reason backend.Outcome) { e.dropped++ })
 	e.sched = New(e.clock, e.pool, []*frontend.Frontend{e.fe}, e.mdb, profiles, cfg)
 	return e
@@ -153,6 +157,7 @@ func TestEpochDeploysSession(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	e.sessions.Intern("s")
 	if err := e.sched.RunEpoch(); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +170,7 @@ func TestEpochDeploysSession(t *testing.T) {
 	// Serve traffic end to end.
 	e.clock.RunUntil(2 * time.Second) // model load
 	rng := rand.New(rand.NewSource(1))
-	workload.Start(e.clock, rng, "s", 100*time.Millisecond, workload.Uniform{Rate: 100},
+	workload.Start(e.clock, rng, "s", e.sessions.Intern("s"), 100*time.Millisecond, workload.Uniform{Rate: 100},
 		e.clock.Now()+10*time.Second, func(r workload.Request) { e.fe.Dispatch(r) })
 	e.clock.Run()
 	total := e.good + e.missed + e.dropped
@@ -290,6 +295,7 @@ func TestEpochAdaptsToObservedLoad(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	e.sessions.Intern("s")
 	if err := e.sched.RunEpoch(); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +303,7 @@ func TestEpochAdaptsToObservedLoad(t *testing.T) {
 	// Offer much more traffic than expected, then re-run the epoch.
 	e.clock.RunUntil(2 * time.Second)
 	rng := rand.New(rand.NewSource(2))
-	workload.Start(e.clock, rng, "s", 100*time.Millisecond, workload.Uniform{Rate: 3000},
+	workload.Start(e.clock, rng, "s", e.sessions.Intern("s"), 100*time.Millisecond, workload.Uniform{Rate: 3000},
 		e.clock.Now()+10*time.Second, func(r workload.Request) { e.fe.Dispatch(r) })
 	e.clock.RunUntil(7 * time.Second)
 	if err := e.sched.RunEpoch(); err != nil {

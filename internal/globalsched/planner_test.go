@@ -19,6 +19,7 @@ func addMixedSessions(t *testing.T, e *env, n int) {
 	t.Helper()
 	models := []string{model.ResNet50, model.Darknet53, model.GoogLeNetCar}
 	for i := 0; i < n; i++ {
+		e.sessions.Intern(fmt.Sprintf("s%02d", i))
 		if err := e.sched.AddSession(SessionSpec{
 			ID:           fmt.Sprintf("s%02d", i),
 			ModelID:      models[i%len(models)],
@@ -87,7 +88,7 @@ func TestHysteresisDeltaEpochServesTraffic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 12; i++ {
 		sid := fmt.Sprintf("s%02d", i)
-		workload.Start(e.clock, rng, sid, 200*time.Millisecond, workload.Uniform{Rate: 50},
+		workload.Start(e.clock, rng, sid, e.sessions.Intern(sid), 200*time.Millisecond, workload.Uniform{Rate: 50},
 			e.clock.Now()+10*time.Second, func(r workload.Request) { e.fe.Dispatch(r) })
 	}
 	e.clock.RunUntil(8 * time.Second)
@@ -212,7 +213,7 @@ func TestDeltaRoutingResyncAfterLocalRepair(t *testing.T) {
 	// must push an update.
 	e.clock.RunUntil(2 * time.Second)
 	rng := rand.New(rand.NewSource(3))
-	workload.Start(e.clock, rng, "s00", 200*time.Millisecond, workload.Uniform{Rate: 400},
+	workload.Start(e.clock, rng, "s00", e.sessions.Intern("s00"), 200*time.Millisecond, workload.Uniform{Rate: 400},
 		e.clock.Now()+6*time.Second, func(r workload.Request) { e.fe.Dispatch(r) })
 	e.clock.RunUntil(9 * time.Second)
 	_, fullsBefore, _ := e.sched.RoutePushStats()
@@ -251,7 +252,8 @@ func TestTotalMovedCountsAppliedEpochs(t *testing.T) {
 		start := e.clock.Now() + time.Second
 		e.clock.RunUntil(start)
 		for i := 0; i < 12; i++ {
-			workload.Start(e.clock, rng, fmt.Sprintf("s%02d", i), 200*time.Millisecond,
+			sid := fmt.Sprintf("s%02d", i)
+			workload.Start(e.clock, rng, sid, e.sessions.Intern(sid), 200*time.Millisecond,
 				workload.Uniform{Rate: 20 + float64(rng.Intn(400))},
 				start+8*time.Second, func(r workload.Request) { e.fe.Dispatch(r) })
 		}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"nexus/internal/runner"
+	"nexus/internal/workload"
 )
 
 // Histogram is a logarithmically-bucketed latency histogram with ~2%
@@ -220,35 +221,58 @@ func (s *SessionStats) Merge(other *SessionStats) {
 	s.Latency.Merge(&other.Latency)
 }
 
-// Recorder aggregates SessionStats by session ID.
+// Recorder aggregates SessionStats per session. The data plane records by
+// session index (workload.Request.SessionIndex), a slice read; callers at
+// the edges look sessions up by ID. A session becomes known when its stats
+// are first asked for, and is never forgotten.
 type Recorder struct {
-	sessions map[string]*SessionStats
+	sessions *workload.Sessions
+	stats    []*SessionStats // by session index; nil until known
+	known    []int32         // session indices in the order they became known
 }
 
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{sessions: make(map[string]*SessionStats)}
+// NewRecorder returns an empty recorder over a session table.
+func NewRecorder(sessions *workload.Sessions) *Recorder {
+	return &Recorder{sessions: sessions}
 }
 
-// Session returns (creating if needed) the stats for a session ID.
-func (r *Recorder) Session(id string) *SessionStats {
-	s, ok := r.sessions[id]
-	if !ok {
-		s = &SessionStats{}
-		r.sessions[id] = s
+// At returns (creating if needed) the stats for a session index.
+func (r *Recorder) At(i int32) *SessionStats {
+	if int(i) < len(r.stats) {
+		if s := r.stats[i]; s != nil {
+			return s
+		}
+	} else {
+		r.stats = append(r.stats, make([]*SessionStats, int(i)+1-len(r.stats))...)
 	}
+	s := &SessionStats{}
+	r.stats[i] = s
+	r.known = append(r.known, i)
 	return s
 }
 
-// NumSessions returns how many session IDs the recorder knows. Sessions
-// are never removed, so a change in the count means new IDs.
-func (r *Recorder) NumSessions() int { return len(r.sessions) }
+// Session returns (creating if needed) the stats for a session ID,
+// interning an ID the table does not know yet.
+func (r *Recorder) Session(id string) *SessionStats {
+	return r.At(r.sessions.Intern(id))
+}
+
+// NumSessions returns how many sessions the recorder knows. Sessions are
+// never removed, so a change in the count means new sessions.
+func (r *Recorder) NumSessions() int { return len(r.known) }
+
+// Known returns the k-th session to become known (0 <= k < NumSessions):
+// its ID and stats.
+func (r *Recorder) Known(k int) (string, *SessionStats) {
+	i := r.known[k]
+	return r.sessions.ID(i), r.stats[i]
+}
 
 // SessionIDs returns the known session IDs in sorted order.
 func (r *Recorder) SessionIDs() []string {
-	ids := make([]string, 0, len(r.sessions))
-	for id := range r.sessions {
-		ids = append(ids, id)
+	ids := make([]string, len(r.known))
+	for k, i := range r.known {
+		ids[k] = r.sessions.ID(i)
 	}
 	sort.Strings(ids)
 	return ids
@@ -257,8 +281,8 @@ func (r *Recorder) SessionIDs() []string {
 // Total returns stats merged across all sessions.
 func (r *Recorder) Total() *SessionStats {
 	t := &SessionStats{}
-	for _, s := range r.sessions {
-		t.Merge(s)
+	for _, i := range r.known {
+		t.Merge(r.stats[i])
 	}
 	return t
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"nexus/internal/runner"
+	"nexus/internal/workload"
 )
 
 func TestHistogramEmpty(t *testing.T) {
@@ -149,7 +150,9 @@ func TestSessionStats(t *testing.T) {
 }
 
 func TestRecorder(t *testing.T) {
-	r := NewRecorder()
+	sessions := workload.NewSessions()
+	sessions.Intern("c") // interned, never recorded: not known
+	r := NewRecorder(sessions)
 	r.Session("b").Sent = 5
 	r.Session("a").Sent = 3
 	r.Session("a").Dropped = 1
@@ -161,9 +164,29 @@ func TestRecorder(t *testing.T) {
 	if tot.Sent != 8 || tot.Dropped != 1 {
 		t.Fatalf("total = %+v", tot)
 	}
-	// Session must return the same pointer on repeat calls.
+	// Session must return the same pointer on repeat calls, and the data
+	// plane's index path the same stats as the ID path.
 	if r.Session("a") != r.Session("a") {
 		t.Fatal("Session not stable")
+	}
+	a, _ := sessions.Index("a")
+	if r.At(a) != r.Session("a") {
+		t.Fatal("At(index of a) differs from Session(a)")
+	}
+	// Known lists sessions in the order they became known.
+	if r.NumSessions() != 2 {
+		t.Fatalf("NumSessions %d, want 2", r.NumSessions())
+	}
+	if id, s := r.Known(0); id != "b" || s.Sent != 5 {
+		t.Fatalf("Known(0) = %s %+v", id, s)
+	}
+	if id, _ := r.Known(1); id != "a" {
+		t.Fatalf("Known(1) = %s", id)
+	}
+	c, _ := sessions.Index("c")
+	r.At(c).Sent = 1
+	if id, _ := r.Known(2); id != "c" || r.NumSessions() != 3 {
+		t.Fatalf("Known(2) = %s of %d", id, r.NumSessions())
 	}
 }
 

@@ -113,12 +113,16 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 // Tracer is a bounded in-memory event recorder. A nil Tracer discards
 // events. Tracer is not safe for concurrent use; the simulation is
 // single-threaded by design.
+//
+// The ring has one slot more than the capacity. The slot at next never
+// holds a retained event: Record writes there first and runs the filter on
+// the written slot, so an event is copied once, and a rejected event
+// evicts nothing.
 type Tracer struct {
 	events []Event
 	next   int
-	filled bool
 	total  uint64
-	filter func(Event) bool
+	filter func(*Event) bool
 }
 
 // New creates a tracer holding up to capacity events (older events are
@@ -127,55 +131,36 @@ func New(capacity int) *Tracer {
 	if capacity < 1 {
 		panic("trace: capacity must be >= 1")
 	}
-	return &Tracer{events: make([]Event, capacity)}
+	return &Tracer{events: make([]Event, capacity+1)}
 }
 
-// SetFilter installs a predicate; events failing it are discarded.
-// A nil predicate accepts everything.
-func (t *Tracer) SetFilter(f func(Event) bool) {
+// SetFilter installs a predicate; events failing it are discarded. The
+// predicate must not retain its argument. A nil predicate accepts
+// everything.
+func (t *Tracer) SetFilter(f func(*Event) bool) {
 	if t == nil {
 		return
 	}
 	t.filter = f
 }
 
-// Record appends an event (no-op on a nil tracer). Filtered events are
-// discarded before touching the ring: they advance neither the write cursor
-// nor the total, so a filter cannot evict retained events.
-func (t *Tracer) Record(e Event) {
+// Record appends a copy of *e (no-op on a nil tracer); e is not retained.
+// Filtered events advance neither the write cursor nor the total, so a
+// filter cannot evict retained events. Callers on hot paths check for a
+// nil tracer before building the event.
+func (t *Tracer) Record(e *Event) {
 	if t == nil {
 		return
-	}
-	if t.filter != nil && !t.filter(e) {
-		return
-	}
-	t.events[t.next] = e
-	t.next++
-	t.total++
-	if t.next == len(t.events) {
-		t.next = 0
-		t.filled = true
-	}
-}
-
-// Reserve returns the next ring slot, already counted, for dispatch-hot-path
-// callers to fill in place: one struct write into the ring, no argument copy,
-// and the method inlines (Record cannot — the filter call exceeds the inline
-// budget). The slot still holds its previous occupant until overwritten, so
-// callers must assign a complete Event. Reserve bypasses any SetFilter
-// predicate; a nil tracer returns nil.
-func (t *Tracer) Reserve() *Event {
-	if t == nil {
-		return nil
 	}
 	s := &t.events[t.next]
-	t.next++
-	t.total++
-	if t.next == len(t.events) {
-		t.next = 0
-		t.filled = true
+	*s = *e
+	if t.filter != nil && !t.filter(s) {
+		return
 	}
-	return s
+	t.total++
+	if t.next++; t.next == len(t.events) {
+		t.next = 0
+	}
 }
 
 // Total returns how many events were recorded (including overwritten ones).
@@ -191,23 +176,21 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	if t.filled {
-		return len(t.events)
-	}
-	return t.next
+	return int(min(t.total, uint64(len(t.events)-1)))
 }
 
 // segments returns the retained events as the ring's two runs, older run
 // first, so readers walk the ring in place in record order. A nil tracer
 // has no runs.
 func (t *Tracer) segments() [2][]Event {
-	if t == nil {
+	n := t.Len()
+	if n == 0 {
 		return [2][]Event{}
 	}
-	if !t.filled {
-		return [2][]Event{t.events[:t.next], nil}
+	if start := t.next - n; start >= 0 {
+		return [2][]Event{t.events[start:t.next], nil}
 	}
-	return [2][]Event{t.events[t.next:], t.events[:t.next]}
+	return [2][]Event{t.events[len(t.events)+t.next-n:], t.events[:t.next]}
 }
 
 // Events returns the retained events in chronological order.
@@ -224,8 +207,8 @@ func (t *Tracer) Events() []Event {
 // Window returns the retained events with from <= At <= to, in record
 // order, in an exactly sized slice (nil when none match). It reads the
 // ring in place: one pass counts the matches, a second copies them. The
-// scan is linear because nothing orders the ring by At — Reserve callers
-// may stamp events out of order.
+// scan is linear because nothing orders the ring by At — callers may
+// stamp events out of order.
 func (t *Tracer) Window(from, to time.Duration) []Event {
 	segs := t.segments()
 	n := 0

@@ -10,14 +10,14 @@ import (
 	"time"
 )
 
-func ev(at int, kind Kind, req uint64) Event {
-	return Event{At: time.Duration(at) * time.Millisecond, Kind: kind, ReqID: req, Session: "s"}
+func ev(at int, kind Kind, req uint64) *Event {
+	return &Event{At: time.Duration(at) * time.Millisecond, Kind: kind, ReqID: req, Session: "s"}
 }
 
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
 	tr.Record(ev(1, Arrive, 1)) // must not panic
-	tr.SetFilter(func(Event) bool { return true })
+	tr.SetFilter(func(*Event) bool { return true })
 	if tr.Total() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer should report nothing")
 	}
@@ -69,7 +69,7 @@ func TestRingOverwrite(t *testing.T) {
 
 func TestFilter(t *testing.T) {
 	tr := New(10)
-	tr.SetFilter(func(e Event) bool { return e.Kind == Drop })
+	tr.SetFilter(func(e *Event) bool { return e.Kind == Drop })
 	tr.Record(ev(1, Arrive, 1))
 	tr.Record(ev(2, Drop, 1))
 	if len(tr.Events()) != 1 || tr.Events()[0].Kind != Drop {
@@ -82,7 +82,7 @@ func TestFilter(t *testing.T) {
 // evict retained ones or inflate the overwrite accounting.
 func TestFilterDoesNotAdvanceRing(t *testing.T) {
 	tr := New(3)
-	tr.SetFilter(func(e Event) bool { return e.Kind != Drop })
+	tr.SetFilter(func(e *Event) bool { return e.Kind != Drop })
 	tr.Record(ev(0, Arrive, 0))
 	tr.Record(ev(1, Arrive, 1))
 	// A burst of filtered events between accepted ones.
@@ -170,9 +170,9 @@ func TestByRequestOrderingUnderWraparound(t *testing.T) {
 
 func TestWriteJSONRoundTrip(t *testing.T) {
 	tr := New(4)
-	tr.Record(Event{At: time.Millisecond, Kind: Execute, ReqID: 1, Backend: "be0", Unit: "u",
+	tr.Record(&Event{At: time.Millisecond, Kind: Execute, ReqID: 1, Backend: "be0", Unit: "u",
 		Batch: 8, Dur: 2500 * time.Microsecond, Inc: 3})
-	tr.Record(Event{At: 7*time.Millisecond + 123*time.Nanosecond, Kind: Drop, ReqID: 2,
+	tr.Record(&Event{At: 7*time.Millisecond + 123*time.Nanosecond, Kind: Drop, ReqID: 2,
 		Session: "s", Batch: 0, Cause: "deadline"})
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
@@ -229,8 +229,8 @@ func TestFromMSRoundTripExact(t *testing.T) {
 func TestWriteText(t *testing.T) {
 	tr := New(8)
 	tr.Record(ev(1, Arrive, 1))
-	tr.Record(Event{At: 2 * time.Millisecond, Kind: Execute, ReqID: 1, Backend: "be0", Unit: "u", Batch: 4})
-	tr.Record(Event{At: 3 * time.Millisecond, Kind: Drop, ReqID: 2, Session: "s", Cause: "deadline"})
+	tr.Record(&Event{At: 2 * time.Millisecond, Kind: Execute, ReqID: 1, Backend: "be0", Unit: "u", Batch: 4})
+	tr.Record(&Event{At: 3 * time.Millisecond, Kind: Drop, ReqID: 2, Session: "s", Cause: "deadline"})
 	var buf bytes.Buffer
 	if err := tr.WriteText(&buf); err != nil {
 		t.Fatal(err)
@@ -245,9 +245,9 @@ func TestWriteText(t *testing.T) {
 
 func TestSummaryAndSessions(t *testing.T) {
 	tr := New(8)
-	tr.Record(Event{Kind: Arrive, Session: "b"})
-	tr.Record(Event{Kind: Arrive, Session: "a"})
-	tr.Record(Event{Kind: Drop, Session: "a"})
+	tr.Record(&Event{Kind: Arrive, Session: "b"})
+	tr.Record(&Event{Kind: Arrive, Session: "a"})
+	tr.Record(&Event{Kind: Drop, Session: "a"})
 	sum := tr.Summary()
 	if sum[Arrive] != 2 || sum[Drop] != 1 {
 		t.Fatalf("summary = %v", sum)
@@ -305,7 +305,7 @@ func TestPropertyFilterTransparent(t *testing.T) {
 		capn := rng.Intn(8) + 1
 		n := rng.Intn(80)
 		filtered := New(capn)
-		filtered.SetFilter(func(e Event) bool { return e.Kind == Arrive })
+		filtered.SetFilter(func(e *Event) bool { return e.Kind == Arrive })
 		plain := New(capn)
 		for i := 0; i < n; i++ {
 			if rng.Intn(2) == 0 {
@@ -337,8 +337,7 @@ func TestPropertyFilterTransparent(t *testing.T) {
 
 // Property: Window(from, to) equals filtering Events() by from <= At <= to
 // — at random capacities, before and after wraparound, under a SetFilter
-// predicate, and with events recorded (some through Reserve) out of At
-// order. The result is exactly sized, nil when nothing matches, and Len
+// predicate, and with events recorded out of At order. The result is exactly sized, nil when nothing matches, and Len
 // agrees with Events.
 func TestPropertyWindowMatchesEvents(t *testing.T) {
 	f := func(seed int64) bool {
@@ -347,7 +346,7 @@ func TestPropertyWindowMatchesEvents(t *testing.T) {
 		n := rng.Intn(4 * capn)
 		tr := New(capn)
 		if rng.Intn(2) == 0 {
-			tr.SetFilter(func(e Event) bool { return e.Kind != Drop })
+			tr.SetFilter(func(e *Event) bool { return e.Kind != Drop })
 		}
 		for i := 0; i < n; i++ {
 			// Timestamps jitter backwards as well as forwards.
@@ -355,11 +354,7 @@ func TestPropertyWindowMatchesEvents(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				e.Kind = Drop
 			}
-			if rng.Intn(3) == 0 {
-				*tr.Reserve() = e
-			} else {
-				tr.Record(e)
-			}
+			tr.Record(e)
 		}
 		all := tr.Events()
 		if tr.Len() != len(all) {
@@ -398,5 +393,33 @@ func TestPropertyWindowMatchesEvents(t *testing.T) {
 	var nilTracer *Tracer
 	if nilTracer.Window(0, time.Hour) != nil || nilTracer.Len() != 0 {
 		t.Fatal("nil tracer must have an empty window")
+	}
+}
+
+// TestRecordCopiesOnce pins Record's contract: the ring keeps a copy of the
+// event, not the caller's pointer; the filter sees the event as written to
+// its slot; and a rejected event, though written to the ring's spare slot,
+// evicts nothing and is overwritten by the next event.
+func TestRecordCopiesOnce(t *testing.T) {
+	tr := New(2)
+	var seen []*Event
+	tr.SetFilter(func(e *Event) bool {
+		seen = append(seen, e)
+		return e.Kind != Drop
+	})
+	e := ev(1, Arrive, 1)
+	tr.Record(e)
+	e.ReqID = 99 // the caller reuses its event
+	tr.Record(ev(2, Arrive, 2))
+	tr.Record(ev(3, Drop, 3)) // rejected: req 1 must stay
+	if got := tr.Events(); len(got) != 2 || got[0].ReqID != 1 || got[1].ReqID != 2 {
+		t.Fatalf("ring %+v, want reqs 1,2", got)
+	}
+	if len(seen) != 3 || seen[0] == e || seen[0].ReqID != 1 {
+		t.Fatal("filter must see the ring's copy, not the caller's event")
+	}
+	tr.Record(ev(4, Arrive, 4)) // overwrites the rejected slot, evicts req 1
+	if got := tr.Events(); len(got) != 2 || got[0].ReqID != 2 || got[1].ReqID != 4 || tr.Total() != 3 {
+		t.Fatalf("ring %+v (total %d), want reqs 2,4 of 3", got, tr.Total())
 	}
 }

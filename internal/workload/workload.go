@@ -14,13 +14,54 @@ import (
 	"nexus/internal/simclock"
 )
 
-// Request is one inference request of a session.
+// Request is one inference request of a session. Session names the
+// session at the edges (traces, labels); SessionIndex is its dense index in
+// the deployment's Sessions table, which the data plane reads instead.
 type Request struct {
-	ID       uint64
-	Session  string
-	Arrival  time.Duration // virtual time the request entered the frontend
-	Deadline time.Duration // Arrival + session SLO
+	ID           uint64
+	Session      string
+	Arrival      time.Duration // virtual time the request entered the frontend
+	Deadline     time.Duration // Arrival + session SLO
+	SessionIndex int32
 }
+
+// Sessions interns session IDs to dense indices 0, 1, 2, ... in first-seen
+// order. A deployment interns every session it serves when it is built, and
+// its generators stamp each request with the index, so per-session state on
+// the data plane is a slice read, not a string hash. Indices are never
+// reused.
+type Sessions struct {
+	ids   []string
+	index map[string]int32
+}
+
+// NewSessions returns an empty table.
+func NewSessions() *Sessions {
+	return &Sessions{index: make(map[string]int32)}
+}
+
+// Intern returns the session's index, assigning the next one on first sight.
+func (s *Sessions) Intern(id string) int32 {
+	i, ok := s.index[id]
+	if !ok {
+		i = int32(len(s.ids))
+		s.index[id] = i
+		s.ids = append(s.ids, id)
+	}
+	return i
+}
+
+// Index returns the session's index, and false when it was never interned.
+func (s *Sessions) Index(id string) (int32, bool) {
+	i, ok := s.index[id]
+	return i, ok
+}
+
+// ID returns the session ID of an index.
+func (s *Sessions) ID(i int32) string { return s.ids[i] }
+
+// Len returns how many sessions are interned.
+func (s *Sessions) Len() int { return len(s.ids) }
 
 // Process produces inter-arrival times.
 type Process interface {
@@ -76,6 +117,7 @@ type Generator struct {
 	SLO     time.Duration
 	Proc    Process
 
+	index  int32 // Session's index, stamped on every request
 	clock  *simclock.Clock
 	rng    *rand.Rand
 	sink   func(Request)
@@ -92,17 +134,17 @@ type Generator struct {
 	emitFn func()
 }
 
-// Start begins emitting requests for session until the given virtual time
-// (inclusive of arrivals strictly before it). sink is called at each
-// arrival instant.
-func Start(clock *simclock.Clock, rng *rand.Rand, session string, slo time.Duration,
+// Start begins emitting requests for session (whose Sessions index is
+// index) until the given virtual time (inclusive of arrivals strictly
+// before it). sink is called at each arrival instant.
+func Start(clock *simclock.Clock, rng *rand.Rand, session string, index int32, slo time.Duration,
 	proc Process, until time.Duration, sink func(Request)) *Generator {
 	if slo <= 0 {
 		panic(fmt.Sprintf("workload: session %s has non-positive SLO", session))
 	}
 	g := &Generator{
 		Session: session, SLO: slo, Proc: proc,
-		clock: clock, rng: rng, sink: sink, until: until,
+		index: index, clock: clock, rng: rng, sink: sink, until: until,
 	}
 	g.emitFn = g.emit
 	g.schedule()
@@ -139,10 +181,11 @@ func (g *Generator) schedule() {
 
 func (g *Generator) emit() {
 	req := Request{
-		ID:       g.nextID,
-		Session:  g.Session,
-		Arrival:  g.clock.Now(),
-		Deadline: g.clock.Now() + g.SLO,
+		ID:           g.nextID,
+		Session:      g.Session,
+		Arrival:      g.clock.Now(),
+		Deadline:     g.clock.Now() + g.SLO,
+		SessionIndex: g.index,
 	}
 	g.nextID++
 	g.sent++

@@ -85,7 +85,7 @@ func TestGenerator(t *testing.T) {
 	clock := simclock.New()
 	rng := rand.New(rand.NewSource(7))
 	var reqs []Request
-	g := Start(clock, rng, "s1", 100*time.Millisecond, Uniform{Rate: 100},
+	g := Start(clock, rng, "s1", 3, 100*time.Millisecond, Uniform{Rate: 100},
 		10*time.Second, func(r Request) { reqs = append(reqs, r) })
 	clock.Run()
 	// ~1000 requests in 10s at 100 r/s.
@@ -109,8 +109,8 @@ func TestGenerator(t *testing.T) {
 		if r.ID != uint64(i) {
 			t.Fatal("IDs not sequential")
 		}
-		if r.Session != "s1" {
-			t.Fatal("wrong session")
+		if r.Session != "s1" || r.SessionIndex != 3 {
+			t.Fatalf("request stamped %s/%d, want s1/3", r.Session, r.SessionIndex)
 		}
 		prev = r.Arrival
 	}
@@ -122,7 +122,7 @@ func TestGeneratorInvalidSLO(t *testing.T) {
 			t.Fatal("non-positive SLO accepted")
 		}
 	}()
-	Start(simclock.New(), rand.New(rand.NewSource(1)), "s", 0, Uniform{Rate: 1}, time.Second, func(Request) {})
+	Start(simclock.New(), rand.New(rand.NewSource(1)), "s", 0, 0, Uniform{Rate: 1}, time.Second, func(Request) {})
 }
 
 func TestZipfWeights(t *testing.T) {
@@ -223,7 +223,7 @@ func TestPropertyGeneratorRate(t *testing.T) {
 		clock := simclock.New()
 		n := 0
 		horizon := 5 * time.Second
-		Start(clock, rng, "s", 50*time.Millisecond, proc, horizon, func(r Request) {
+		Start(clock, rng, "s", 0, 50*time.Millisecond, proc, horizon, func(r Request) {
 			if r.Arrival >= horizon {
 				n = -1 << 30
 			}
@@ -242,7 +242,7 @@ func TestGeneratorStopsAtHorizonEdge(t *testing.T) {
 	clock := simclock.New()
 	rng := rand.New(rand.NewSource(9))
 	var last time.Duration
-	Start(clock, rng, "s", time.Second, Uniform{Rate: 1000}, 2*time.Second, func(r Request) {
+	Start(clock, rng, "s", 0, time.Second, Uniform{Rate: 1000}, 2*time.Second, func(r Request) {
 		last = r.Arrival
 	})
 	clock.Run()
@@ -256,7 +256,7 @@ func TestModulatedRespondsToScheduleMidStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	sched := Burst(50, 1000, 5*time.Second, 10*time.Second)
 	perSecond := map[int]int{}
-	Start(clock, rng, "s", time.Second, Modulated{RateAt: sched.RateAt}, 15*time.Second, func(r Request) {
+	Start(clock, rng, "s", 0, time.Second, Modulated{RateAt: sched.RateAt}, 15*time.Second, func(r Request) {
 		perSecond[int(r.Arrival/time.Second)]++
 	})
 	clock.Run()
@@ -272,7 +272,7 @@ func TestMinInterarrivalGuard(t *testing.T) {
 	clock := simclock.New()
 	rng := rand.New(rand.NewSource(11))
 	n := 0
-	Start(clock, rng, "s", time.Second, zeroGap{}, 10*time.Millisecond, func(Request) { n++ })
+	Start(clock, rng, "s", 0, time.Second, zeroGap{}, 10*time.Millisecond, func(Request) { n++ })
 	clock.SetEventLimit(100000)
 	clock.Run()
 	if n == 0 {
@@ -287,3 +287,26 @@ func TestMinInterarrivalGuard(t *testing.T) {
 type zeroGap struct{}
 
 func (zeroGap) Interarrival(time.Duration, *rand.Rand) time.Duration { return 0 }
+
+func TestSessionsIntern(t *testing.T) {
+	s := NewSessions()
+	if _, ok := s.Index("a"); ok {
+		t.Fatal("empty table knows a")
+	}
+	for i, id := range []string{"a", "b", "a", "c", "b"} {
+		got := s.Intern(id)
+		want := map[string]int32{"a": 0, "b": 1, "c": 2}[id]
+		if got != want {
+			t.Fatalf("step %d: Intern(%s) = %d, want %d", i, id, got, want)
+		}
+		if s.ID(got) != id {
+			t.Fatalf("ID(%d) = %s, want %s", got, s.ID(got), id)
+		}
+	}
+	if s.Len() != 3 {
+		t.Fatalf("Len %d, want 3", s.Len())
+	}
+	if i, ok := s.Index("c"); !ok || i != 2 {
+		t.Fatalf("Index(c) = %d, %v", i, ok)
+	}
+}
